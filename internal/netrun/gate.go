@@ -106,11 +106,22 @@ func (g *gate) acquire(req AcquireRequest) (AcquireReply, *waiter) {
 	return AcquireReply{}, w
 }
 
-// cancel abandons a parked waiter (client disconnected).
+// cancel abandons a parked waiter (client disconnected). A reply the
+// round loop already buffered is drained here: the handler may have
+// seen the hang-up first even though a grant was ready, and a grant no
+// client will ever hold is released at once instead of occupying the
+// vertex until its lease runs out.
 func (g *gate) cancel(w *waiter) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	w.done = true
-	g.mu.Unlock()
+	select {
+	case rep := <-w.ch:
+		if rep.Granted {
+			g.releaseToken(rep.Token)
+		}
+	default:
+	}
 }
 
 // release returns a token. An unknown token is a refusal, not an HTTP
@@ -119,14 +130,23 @@ func (g *gate) cancel(w *waiter) {
 func (g *gate) release(req ReleaseRequest) ReleaseReply {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i, h := range g.active {
-		if h.token == req.Token {
-			g.active = append(g.active[:i], g.active[i+1:]...)
-			g.released++
-			return ReleaseReply{Released: true, Round: g.round}
-		}
+	if g.releaseToken(req.Token) {
+		return ReleaseReply{Released: true, Round: g.round}
 	}
 	return ReleaseReply{Released: false, Round: g.round, Reason: "unknown token (lease expired?)"}
+}
+
+// releaseToken drops the outstanding grant holding tok, counting it as
+// released, and reports whether there was one (callers hold g.mu).
+func (g *gate) releaseToken(tok string) bool {
+	for i, h := range g.active {
+		if h.token == tok {
+			g.active = append(g.active[:i], g.active[i+1:]...)
+			g.released++
+			return true
+		}
+	}
+	return false
 }
 
 // drain stops admission and fails every parked waiter; the round loop
@@ -179,15 +199,6 @@ func (g *gate) step(round int64, cfg sim.Config[int], peerActive []uint32) {
 	if g.legit != nil && g.legitRound < 0 && g.legit.Legitimate(cfg) {
 		g.legitRound = round
 	}
-	// The exact global privilege count — computable locally because every
-	// node holds the full replica — is the safety observer, O(n) per
-	// round, which the modest rings lockd targets afford.
-	priv := 0
-	for v := 0; v < g.n; v++ {
-		if g.lock.Privileged(cfg, v) {
-			priv++
-		}
-	}
 	// Reclaim expired leases before counting occupancy.
 	kept := g.active[:0]
 	for _, h := range g.active {
@@ -203,8 +214,15 @@ func (g *gate) step(round int64, cfg sim.Config[int], peerActive []uint32) {
 		occupancy += int(a)
 	}
 	// Grant ascending over the shard: deterministic order, same as the
-	// service simulation's tick.
-	for v := g.lo; v < g.hi && occupancy < g.capacity; v++ {
+	// service simulation's tick. With no waiter parked nothing can be
+	// granted, so the pass — and its privilege reads — is skipped.
+	//
+	// The exact global privilege count — computable locally because every
+	// node holds the full replica — is the safety observer. It is O(n),
+	// so it runs only on a round that grants, at its first grant; cfg
+	// does not change during step, so a late count equals an early one.
+	priv := -1
+	for v := g.lo; v < g.hi && occupancy < g.capacity && len(g.waiters) > 0; v++ {
 		if g.vertexHeld(v) || !g.lock.Privileged(cfg, v) {
 			continue
 		}
@@ -217,6 +235,9 @@ func (g *gate) step(round int64, cfg sim.Config[int], peerActive []uint32) {
 		leaseRound := round + g.lease
 		g.active = append(g.active, grantRec{vertex: v, token: tok, client: w.client, leaseRound: leaseRound})
 		g.grants++
+		if priv < 0 {
+			priv = g.privileged(cfg)
+		}
 		if priv > g.capacity {
 			g.unsafeGrants++
 			if g.legitRound >= 0 {
@@ -245,6 +266,18 @@ func (g *gate) step(round int64, cfg sim.Config[int], peerActive []uint32) {
 		}
 	}
 	g.waiters = live
+}
+
+// privileged counts the vertices privileged in cfg across the whole
+// ring.
+func (g *gate) privileged(cfg sim.Config[int]) int {
+	priv := 0
+	for v := 0; v < g.n; v++ {
+		if g.lock.Privileged(cfg, v) {
+			priv++
+		}
+	}
+	return priv
 }
 
 // vertexHeld reports whether v already carries an outstanding grant

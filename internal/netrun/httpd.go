@@ -45,7 +45,8 @@ func (hs *httpServer) close() { hs.srv.Close() }
 // handleAcquire parks the request on the gate and long-polls: the reply
 // arrives when a round grants it, the wait bound expires, the node
 // drains, or the client hangs up (which cancels the waiter so it cannot
-// be granted into the void).
+// be granted into the void, and hands back a grant that raced the
+// hang-up).
 func (hs *httpServer) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req AcquireRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

@@ -88,20 +88,32 @@ const (
 	journalFlushRounds = 256
 )
 
-// journalRec is one committed round in arena form: the schedule lives
-// in one shared selArena slab instead of a per-round allocation.
+// journalRec is one committed round in arena form. The round number is
+// implicit — rounds are dense from 1, so record i is round i+1 — and the
+// schedule is the run-arena slice between the previous record's runEnd
+// and this one's.
 type journalRec struct {
-	round  int64
-	off, n int
 	fp     uint64
+	runEnd int
+}
+
+// journalRun is a maximal stretch start, start+1, …, start+n-1 of one
+// round's schedule. A round in which every vertex fires is a single run.
+type journalRun struct {
+	start, n uint32
 }
 
 // journalWriter accumulates rounds in arena form (materialized on
 // demand by journal()) and streams buffered JSONL to an optional sink.
+// A round retains 16 B of record plus 8 B per run of its schedule, so
+// the arena grows with how fragmented the moves are, not how many: at
+// most what a plain []int schedule would keep, and O(1) per round when
+// the whole ring fires.
 type journalWriter struct {
-	hdr      Header
-	recs     []journalRec
-	selArena []int
+	hdr   Header
+	recs  []journalRec
+	runs  []journalRun
+	moves int // total schedule length over recs, the journal() slab size
 
 	sink     io.Writer
 	buf      []byte
@@ -128,11 +140,25 @@ func newJournalWriter(h Header, sink io.Writer) (*journalWriter, error) {
 	return jw, nil
 }
 
-// round records one committed round. sel is copied into the arena; the
-// caller keeps ownership and may reuse it next round.
+// round records committed round r, which must follow the last recorded
+// one (rounds are dense from 1). sel's vertex ids — uint32 on the wire,
+// so uint32 here — are run-length encoded into the arena in their given
+// order; the caller keeps ownership of sel and may reuse it next round.
 func (jw *journalWriter) round(r int64, sel []int, fp uint64) error {
-	jw.recs = append(jw.recs, journalRec{round: r, off: len(jw.selArena), n: len(sel), fp: fp})
-	jw.selArena = append(jw.selArena, sel...)
+	if want := int64(len(jw.recs) + 1); r != want {
+		return fmt.Errorf("netrun: journal round %d, want %d (rounds must be dense from 1)", r, want)
+	}
+	for i := 0; i < len(sel); {
+		start := sel[i]
+		j := i + 1
+		for j < len(sel) && sel[j] == start+(j-i) {
+			j++
+		}
+		jw.runs = append(jw.runs, journalRun{start: uint32(start), n: uint32(j - i)})
+		i = j
+	}
+	jw.recs = append(jw.recs, journalRec{fp: fp, runEnd: len(jw.runs)})
+	jw.moves += len(sel)
 	if jw.sink == nil {
 		return nil
 	}
@@ -160,15 +186,27 @@ func (jw *journalWriter) flush() error {
 	return nil
 }
 
-// journal materializes the in-memory Journal from the arena. Entries
-// alias the arena's schedule slab; treat the result as read-only.
+// journal materializes the in-memory Journal from the arena, expanding
+// every schedule into one freshly allocated slab: the result shares
+// nothing with the writer, and its Sel slices are capped so appending to
+// one cannot overwrite the next.
 func (jw *journalWriter) journal() *Journal {
 	j := &Journal{Header: jw.hdr, Entries: make([]Entry, len(jw.recs))}
+	slab := make([]int, jw.moves)
+	off, ri := 0, 0
 	for i, rec := range jw.recs {
+		first := off
+		for ; ri < rec.runEnd; ri++ {
+			run := jw.runs[ri]
+			for k := range run.n {
+				slab[off] = int(run.start + k)
+				off++
+			}
+		}
 		j.Entries[i] = Entry{
 			Kind:  "round",
-			Round: rec.round,
-			Sel:   jw.selArena[rec.off : rec.off+rec.n : rec.off+rec.n],
+			Round: int64(i + 1),
+			Sel:   slab[first:off:off],
 			FP:    fpString(rec.fp),
 		}
 	}

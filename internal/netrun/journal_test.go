@@ -109,6 +109,117 @@ func TestJournalFlushPolicy(t *testing.T) {
 	}
 }
 
+// TestJournalArenaSchedules round-trips the run-length arena: for each
+// schedule shape the materialized journal must equal both the schedule
+// that was written and the JSONL the sink received.
+func TestJournalArenaSchedules(t *testing.T) {
+	const n, nodes = 1024, 3
+	span := func(lo, hi, stride int) []int {
+		var s []int
+		for v := lo; v < hi; v += stride {
+			s = append(s, v)
+		}
+		return s
+	}
+	// Every vertex except the first and last of each shard: a gap on both
+	// sides of every boundary between node contributions.
+	var boundaryGaps []int
+	for id := 0; id < nodes; id++ {
+		lo, hi := shardRange(n, nodes, id)
+		boundaryGaps = append(boundaryGaps, span(lo+1, hi-1, 1)...)
+	}
+	schedules := map[string][][]int{
+		"single vertex": {{5}, {5}, {700}},
+		"full ring":     {span(0, n, 1), span(0, n, 1)},
+		"alternating":   {span(0, n, 2), span(1, n, 2)},
+		"shard gaps":    {boundaryGaps, span(0, n, 1), boundaryGaps},
+		"ends":          {{0, n - 1}, {0}, {n - 1}},
+		"mixed":         {{0, 1, 2, 4, 6, 7, n - 2, n - 1}, {3}, span(0, n, 3)},
+	}
+	for name, sched := range schedules {
+		var sink bytes.Buffer
+		jw, err := newJournalWriter(testHeader(), &sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &Journal{Header: jw.hdr}
+		for i, sel := range sched {
+			r, fp := int64(i+1), uint64(i)*0x9e3779b97f4a7c15
+			if err := jw.round(r, sel, fp); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want.Entries = append(want.Entries, Entry{Kind: "round", Round: r, Sel: sel, FP: fpString(fp)})
+		}
+		if err := jw.flush(); err != nil {
+			t.Fatal(err)
+		}
+		got := jw.journal()
+		if !equalJournal(got, want) {
+			t.Errorf("%s: arena journal differs from the written schedule", name)
+		}
+		read, err := ReadJournal(bytes.NewReader(sink.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !equalJournal(got, read) {
+			t.Errorf("%s: arena journal differs from the sink's JSONL", name)
+		}
+		for i := range sched {
+			if got.Entries[i].Kind != "round" {
+				t.Errorf("%s: entry %d has kind %q", name, i, got.Entries[i].Kind)
+			}
+		}
+		// Materializations are independent copies: editing one (as a
+		// tamper test does) must not reach the writer.
+		if len(got.Entries) > 1 {
+			_ = append(got.Entries[0].Sel, -7)
+			if !equalJournal(got, want) {
+				t.Errorf("%s: appending to one schedule overwrote the next", name)
+			}
+		}
+		got.Entries[0].Sel[0] = -1
+		if !equalJournal(jw.journal(), want) {
+			t.Errorf("%s: editing a materialized journal changed the arena", name)
+		}
+	}
+}
+
+// TestJournalArenaBound is the memory regression guard: a round in which
+// the whole ring fires retains one run, whatever n is, and no round ever
+// retains more runs than moves.
+func TestJournalArenaBound(t *testing.T) {
+	const n = 1024
+	jw, err := newJournalWriter(testHeader(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, alternating := make([]int, n), make([]int, 0, n/2)
+	for v := range full {
+		full[v] = v
+		if v%2 == 0 {
+			alternating = append(alternating, v)
+		}
+	}
+	for r := int64(1); r <= 100; r++ {
+		if err := jw.round(r, full, uint64(r)); err != nil {
+			t.Fatal(err)
+		}
+		if len(jw.runs) != int(r) {
+			t.Fatalf("after %d full-firing rounds the arena holds %d runs, want %d", r, len(jw.runs), r)
+		}
+	}
+	before := len(jw.runs)
+	if err := jw.round(101, alternating, 101); err != nil {
+		t.Fatal(err)
+	}
+	if added := len(jw.runs) - before; added != len(alternating) {
+		t.Fatalf("alternating round added %d runs, want %d (one per move)", added, len(alternating))
+	}
+	if err := jw.round(103, full, 103); err == nil {
+		t.Fatal("a skipped round number was accepted")
+	}
+}
+
 func equalJournal(a, b *Journal) bool {
 	if len(a.Entries) != len(b.Entries) {
 		return false

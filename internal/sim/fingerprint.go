@@ -54,8 +54,24 @@ func FingerprintConfig[S comparable](c Config[S]) uint64 {
 func fnvAddByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
 
 // fnvAddInt folds v's decimal rendering (what %v prints for an int)
-// into the hash.
+// into the hash. Values in [0, 10⁸) — every bounded protocol's states on
+// the rings the harness runs, SSME's clocks included — take a fast path
+// that folds the same digits from constant divisions and a digit-pair
+// table, with no buffer and no per-digit loop.
 func fnvAddInt(h uint64, v int64) uint64 {
+	if v >= 0 && v < 1e8 {
+		u := uint32(v)
+		if u < 1e4 {
+			return fnvAddDigits(h, u)
+		}
+		h = fnvAddDigits(h, u/1e4)
+		lo := u % 1e4
+		hi2, lo2 := lo/100*2, lo%100*2
+		h = fnvAddByte(h, digitPairs[hi2])
+		h = fnvAddByte(h, digitPairs[hi2+1])
+		h = fnvAddByte(h, digitPairs[lo2])
+		return fnvAddByte(h, digitPairs[lo2+1])
+	}
 	var buf [20]byte
 	u := uint64(v)
 	if v < 0 {
@@ -79,3 +95,30 @@ func fnvAddInt(h uint64, v int64) uint64 {
 	}
 	return h
 }
+
+// fnvAddDigits folds u < 10⁴ without leading zeros.
+func fnvAddDigits(h uint64, u uint32) uint64 {
+	switch {
+	case u >= 1000:
+		h = fnvAddByte(h, byte('0'+u/1000))
+		fallthrough
+	case u >= 100:
+		h = fnvAddByte(h, byte('0'+u/100%10))
+		fallthrough
+	case u >= 10:
+		h = fnvAddByte(h, byte('0'+u/10%10))
+	}
+	return fnvAddByte(h, byte('0'+u%10))
+}
+
+// digitPairs holds "00" through "99": bytes 2k and 2k+1 render k.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"

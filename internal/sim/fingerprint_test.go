@@ -33,6 +33,12 @@ func TestFingerprintConfigFastPath(t *testing.T) {
 		{1, 2, 3, 4, 5},
 		{-5, 10, -15, 1 << 40},
 		{math.MaxInt64, math.MinInt64},
+		// Digit-count boundaries, alone and in a row: both sides of the
+		// fast path's 10⁴ split and its 10⁸ limit, and the slow path.
+		{0}, {9}, {10}, {99}, {100}, {999}, {1000}, {9999}, {10000},
+		{10001}, {99999999}, {100000000}, {-1}, {math.MinInt64}, {math.MaxInt64},
+		{0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 10001, 1000000, 12345678,
+			99999999, 100000000, -1, -10000, math.MinInt64, math.MaxInt64},
 	}
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 50; i++ {
@@ -40,6 +46,13 @@ func TestFingerprintConfigFastPath(t *testing.T) {
 		c := make(Config[int], n)
 		for j := range c {
 			c[j] = int(rng.Int63n(1<<20)) - 1<<19
+		}
+		cases = append(cases, c)
+	}
+	for i := 0; i < 50; i++ {
+		c := make(Config[int], 1+rng.Intn(64))
+		for j := range c {
+			c[j] = int(rng.Int63n(2e8)) // straddles the 10⁸ limit
 		}
 		cases = append(cases, c)
 	}
