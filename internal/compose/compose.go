@@ -40,9 +40,9 @@ type Pair[A, B comparable] struct {
 // Product runs two protocols with disjoint state on the same vertex set.
 // A Product is safe for concurrent use: guard evaluation draws its
 // projection scratch from a pool and the rule-pair interning table is an
-// immutable snapshot behind an atomic pointer, so compositions run under
-// concurrent.RoundNetwork and the engine's shard-parallel step (the race
-// tests exercise exactly that).
+// immutable snapshot behind an atomic pointer, so guards may be evaluated
+// from one goroutine per vertex and compositions run under the engine's
+// shard-parallel step (the race tests exercise exactly that).
 //
 // Product rules are interned pairs of component rules, so products nest:
 // a Product is itself a sim.Protocol and can be composed again (see the

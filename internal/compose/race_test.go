@@ -1,21 +1,20 @@
 package compose_test
 
-// Satellite regression tests for the former concurrency hazard: Product
-// used to share projection scratch buffers across guard evaluations, so
-// compositions could not run under concurrent.RoundNetwork or the
-// engine's shard-parallel step. The buffers are pooled and the interning
-// table copy-on-write now; these tests drive both concurrent paths and
-// are meant to run under the race detector (CI does).
+// Regression tests for the former concurrency hazard: Product used to
+// share projection scratch buffers across guard evaluations, so
+// compositions could not be evaluated from concurrent goroutines or run
+// under the engine's shard-parallel step. The buffers are pooled and the
+// interning table copy-on-write now; these tests drive a one-goroutine-
+// per-vertex fan-out and the shard pool, and are meant to run under the
+// race detector (CI does).
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"specstab/internal/bfstree"
 	"specstab/internal/compose"
-	"specstab/internal/concurrent"
 	"specstab/internal/daemon"
 	"specstab/internal/graph"
 	"specstab/internal/sim"
@@ -37,34 +36,42 @@ func newTestProduct(t *testing.T) *compose.Product[int, int] {
 	return compose.MustNew[int, int](uni, bfstree.MustNew(g, 0))
 }
 
-// TestProductUnderRoundNetwork runs a composition through the
-// barrier-synchronized concurrent deployment: EnabledRule/Apply are
-// invoked from one goroutine per vertex against the frozen round
-// configuration, which races on any shared scratch.
+// TestProductUnderRoundNetwork evaluates a composition from one goroutine
+// per vertex against the frozen round configuration — EnabledRule/Apply
+// race on any shared scratch — and checks every round against the
+// sequential engine under the synchronous daemon.
 func TestProductUnderRoundNetwork(t *testing.T) {
 	t.Parallel()
 	prod := newTestProduct(t)
-	initial := make(sim.Config[compose.Pair[int, int]], prod.N())
-	for v := range initial {
-		initial[v] = compose.Pair[int, int]{First: -v % 3, Second: v % 4}
+	cfg := make(sim.Config[compose.Pair[int, int]], prod.N())
+	for v := range cfg {
+		cfg[v] = compose.Pair[int, int]{First: -v % 3, Second: v % 4}
 	}
-	rn, err := concurrent.NewRoundNetwork[compose.Pair[int, int]](prod, initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := rn.RunRounds(context.Background(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The concurrent rounds must equal the sequential synchronous steps.
-	e := sim.MustEngine[compose.Pair[int, int]](prod, daemon.NewSynchronous[compose.Pair[int, int]](), initial, 1)
-	for i := 0; i < done; i++ {
-		if _, err := e.Step(); err != nil {
+	e := sim.MustEngine[compose.Pair[int, int]](prod, daemon.NewSynchronous[compose.Pair[int, int]](), cfg, 1)
+	for round := 0; round < 30; round++ {
+		next := cfg.Clone()
+		var wg sync.WaitGroup
+		for v := range cfg {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rule, ok := prod.EnabledRule(cfg, v); ok {
+					next[v] = prod.Apply(cfg, v, rule)
+				}
+			}()
+		}
+		wg.Wait()
+		progressed, err := e.Step()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !rn.Snapshot().Equal(e.Current()) {
-		t.Fatal("RoundNetwork and sequential synchronous engine diverge on a composition")
+		if !progressed {
+			break
+		}
+		if !next.Equal(e.Current()) {
+			t.Fatalf("round %d: concurrent evaluation and sequential synchronous engine diverge", round)
+		}
+		cfg = next
 	}
 }
 

@@ -4,9 +4,9 @@
 // bursts; after each burst the protocol must re-stabilize on its own —
 // Theorem 1 promises it always does, and the experiments measure how fast.
 //
-// The injector is protocol-agnostic: corrupted values are drawn from the
-// protocol's own per-vertex state domains via RandomState, exactly the
-// paper's "arbitrary initial configuration" after each burst.
+// The injector is protocol-agnostic: sim.Corrupt draws corrupted values
+// from the protocol's own per-vertex state domains via RandomState,
+// exactly the paper's "arbitrary initial configuration" after each burst.
 package faults
 
 import (
@@ -17,23 +17,6 @@ import (
 	"specstab/internal/scenario"
 	"specstab/internal/sim"
 )
-
-// Corrupt returns a copy of c with k distinct randomly chosen registers
-// replaced by arbitrary domain values. k is clamped to [0, n]. Note that a
-// corrupted register may coincidentally receive its old value — transient
-// faults are allowed to be harmless.
-func Corrupt[S comparable](p sim.Protocol[S], c sim.Config[S], k int, rng *rand.Rand) sim.Config[S] {
-	out := c.Clone()
-	n := p.N()
-	if k > n {
-		k = n
-	}
-	perm := rng.Perm(n)
-	for _, v := range perm[:k] {
-		out[v] = p.RandomState(v, rng)
-	}
-	return out
-}
 
 // Burst is one fault event in a scenario.
 type Burst struct {
@@ -87,10 +70,6 @@ func (s Scenario[S]) Run(initial sim.Config[S], bursts []Burst, seed int64) ([]R
 	if s.Protocol == nil || s.NewDaemon == nil || s.Legit == nil {
 		return nil, errors.New("faults: Protocol, NewDaemon and Legit are required")
 	}
-	safe := s.Safe
-	if safe == nil {
-		safe = s.Legit
-	}
 	rng := rand.New(rand.NewSource(seed))
 
 	cfg := initial.Clone()
@@ -114,7 +93,7 @@ func (s Scenario[S]) Run(initial sim.Config[S], bursts []Burst, seed int64) ([]R
 		cfg = e.Snapshot()
 
 		// The burst.
-		cfg = Corrupt(s.Protocol, cfg, b.CorruptVertices, rng)
+		cfg = sim.Corrupt(s.Protocol, cfg, b.CorruptVertices, rng)
 
 		// Recovery.
 		next, rec, err := s.recover(cfg, rng)

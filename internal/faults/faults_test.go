@@ -20,8 +20,8 @@ func TestCorruptRespectsDomainAndCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	for _, k := range []int{0, 1, 4, 9, 100} {
-		got := Corrupt[int](p, base, k, rng)
+	for _, k := range []int{-1, 0, 1, 4, 9, 100} {
+		got := sim.Corrupt[int](p, base, k, rng)
 		if len(got) != g.N() {
 			t.Fatalf("k=%d: wrong length", k)
 		}
@@ -34,11 +34,7 @@ func TestCorruptRespectsDomainAndCount(t *testing.T) {
 				changed++
 			}
 		}
-		max := k
-		if max > g.N() {
-			max = g.N()
-		}
-		if changed > max {
+		if changed > max(0, min(k, g.N())) {
 			t.Errorf("k=%d: %d registers changed, more than corrupted", k, changed)
 		}
 		// The original must be untouched.
@@ -171,8 +167,8 @@ func TestCorruptDeterministicForSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Corrupt[int](p, base, 4, rand.New(rand.NewSource(9)))
-	b := Corrupt[int](p, base, 4, rand.New(rand.NewSource(9)))
+	a := sim.Corrupt[int](p, base, 4, rand.New(rand.NewSource(9)))
+	b := sim.Corrupt[int](p, base, 4, rand.New(rand.NewSource(9)))
 	if !a.Equal(b) {
 		t.Error("same seed must corrupt identically")
 	}

@@ -54,12 +54,6 @@ func (g *Graph) Dist(u, v int) int {
 	return int(g.dist[u][v])
 }
 
-// Eccentricity returns the maximal distance from v to any vertex.
-func (g *Graph) Eccentricity(v int) int {
-	g.ensureDist()
-	return g.ecc[v]
-}
-
 // Diameter returns diam(g), the maximal distance between two vertices.
 // A single-vertex graph has diameter 0.
 func (g *Graph) Diameter() int {

@@ -5,20 +5,20 @@ package lint
 // time. Tests substitute small policies; everything else uses Default.
 //
 // Adding a new deterministic package (DESIGN.md §10): append its import
-// path to deterministicPkgs — nothing else. The wallclock analyzer audits
-// every package of the module, so a new package is covered there the
-// moment it exists; exemptions must be claimed here, loudly, not inline.
+// path to Default's Deterministic set — nothing else. The wallclock
+// analyzer audits every package of the module, so a new package is
+// covered there the moment it exists; exemptions are claimed here, one
+// file at a time, loudly, not inline. Every entry must name a package or
+// file that exists (TestDefaultPolicyEntriesExist), so deleting code
+// means deleting its entries too.
 type Policy struct {
 	// Deterministic marks the packages whose executions must be bitwise
 	// reproducible across backends, worker counts and runs: detmap and
 	// detrand apply only here.
 	Deterministic map[string]bool
-	// WallclockExemptPkgs lists whole packages whose business is real
-	// time (the asynchronous network runtime, its example driver).
-	WallclockExemptPkgs map[string]bool
 	// WallclockExemptFiles lists module-relative files with sanctioned
-	// wall-clock reads (experiment timing columns). Bench and test files
-	// are outside the audit entirely — speclint analyzes non-test
+	// wall-clock reads; no package is exempt as a whole. Bench and test
+	// files are outside the audit entirely — speclint analyzes non-test
 	// sources.
 	WallclockExemptFiles map[string]bool
 	// GoroutineExemptFiles lists module-relative files allowed to contain
@@ -52,9 +52,8 @@ func Default() *Policy {
 			"specstab/internal/lexclusion",
 			"specstab/internal/compose",
 			// Deterministic supporting layers: clock arithmetic, the
-			// formal spec/check machinery, fault injection, measurement.
+			// model checker, fault injection, measurement.
 			"specstab/internal/clock",
-			"specstab/internal/spec",
 			"specstab/internal/check",
 			"specstab/internal/faults",
 			"specstab/internal/speculation",
@@ -70,13 +69,6 @@ func Default() *Policy {
 			// (the replay oracle pins it). Its transport, client-server and
 			// harness files carry the exemptions claimed below.
 			"specstab/internal/netrun",
-		),
-		WallclockExemptPkgs: set(
-			// The concurrent runtime schedules real goroutines against
-			// real time; wall-clock is its subject matter, not a leak.
-			"specstab/internal/concurrent",
-			// examples/resource drives that runtime interactively.
-			"specstab/examples/resource",
 		),
 		WallclockExemptFiles: set(
 			// E12's wall-clock throughput columns: timing is the payload.

@@ -237,9 +237,6 @@ func (g *Guards) finish(r *Run) {
 // Name implements Observer.
 func (g *Guards) Name() string { return "guards" }
 
-// Evals returns the guard evaluations spent during the run.
-func (g *Guards) Evals() int64 { return g.evals }
-
 // Report implements Observer.
 func (g *Guards) Report(w io.Writer) {
 	perStep := 0.0

@@ -442,18 +442,11 @@ func (s *Sim) Run(ticks int) (int, error) {
 }
 
 // InjectBurst corrupts k registers of the running protocol in place — a
-// live transient fault, drawn from the protocol's own state domains via
-// RandomState, injected through the engine's SetConfig (queues, active
-// grants and all service clocks survive; clients observe the aftermath).
+// live transient fault drawn by sim.Corrupt (k clamped to [0, n]),
+// injected through the engine's SetConfig (queues, active grants and all
+// service clocks survive; clients observe the aftermath).
 func (s *Sim) InjectBurst(k int) error {
-	if k > s.n {
-		k = s.n
-	}
-	cfg := s.eng.Snapshot()
-	for _, v := range s.rng.Perm(s.n)[:k] {
-		cfg[v] = s.lock.RandomState(v, s.rng)
-	}
-	if err := s.eng.SetConfig(cfg); err != nil {
+	if err := s.eng.SetConfig(sim.Corrupt(s.lock, s.eng.Current(), k, s.rng)); err != nil {
 		return err
 	}
 	s.rescanPriv()

@@ -221,6 +221,28 @@ func TestServiceWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestInjectBurstNegativeCorruptsNothing: a negative burst size clamps to
+// zero — no panic, and the live configuration is untouched.
+func TestInjectBurstNegativeCorruptsNothing(t *testing.T) {
+	t.Parallel()
+	p, initial := legitRing(t, 8)
+	s, err := service.New(p, daemon.NewSynchronous[int](), initial, 3,
+		service.MustClosedLoop(8, 16, 1, 5), service.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runFully(t, s, 20); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Engine().Snapshot()
+	if err := s.InjectBurst(-1); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Engine().Current().Equal(before) {
+		t.Fatal("InjectBurst(-1) changed the configuration")
+	}
+}
+
 // TestFingerprintSensitivity: different seeds must fingerprint apart —
 // otherwise the invariance test above proves nothing.
 func TestFingerprintSensitivity(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"specstab/internal/core"
 	"specstab/internal/daemon"
 	"specstab/internal/dijkstra"
-	"specstab/internal/faults"
 	"specstab/internal/graph"
 	"specstab/internal/sim"
 )
@@ -55,7 +54,7 @@ func TestSetConfigBackendsAgree(t *testing.T) {
 	p := core.MustNew(ring)
 	rng := rand.New(rand.NewSource(3))
 	initial := sim.RandomConfig[int](p, rng)
-	inject := faults.Corrupt[int](p, initial, 5, rng)
+	inject := sim.Corrupt[int](p, initial, 5, rng)
 
 	ref, refFinal := setConfigTrace[int](t, p, sim.Options{Backend: sim.BackendGeneric, Workers: 1}, initial, inject, 25, 60)
 	variants := []sim.Options{
@@ -90,7 +89,7 @@ func TestSetConfigMatchesFreshEngine(t *testing.T) {
 	p := dijkstra.MustNew(8, 8)
 	rng := rand.New(rand.NewSource(5))
 	initial := sim.RandomConfig[int](p, rng)
-	inject := faults.Corrupt[int](p, initial, 8, rng)
+	inject := sim.Corrupt[int](p, initial, 8, rng)
 
 	live := sim.MustEngine[int](p, daemon.NewSynchronous[int](), initial, 1)
 	if _, err := live.Run(10, nil); err != nil {
