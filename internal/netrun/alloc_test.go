@@ -26,7 +26,7 @@ func TestRoundLoopAllocs(t *testing.T) {
 	src := &Frame{Kind: KindRound, Round: RoundFrame{
 		Round: 7, Node: 1, Words: 2, PrevFP: 0xfeedface,
 		Enabled: 3, Active: 1,
-		Sel:  []uint32{2, 5, 9},
+		Runs: []SelRun{{2, 1}, {5, 2}},
 		Data: []int64{10, -11, 12, -13, 14, -15},
 	}}
 	var dst Frame
@@ -42,11 +42,11 @@ func TestRoundLoopAllocs(t *testing.T) {
 		}
 		w.release()
 	}
-	encodeDecode() // warm the pool and dst's Sel/Data capacity
+	encodeDecode() // warm the pool and dst's Runs/Data capacity
 	if allocs := testing.AllocsPerRun(100, encodeDecode); allocs != 0 {
 		t.Fatalf("frame encode/decode path allocates %.2f per round, want exactly 0", allocs)
 	}
-	if dst.Round.Round != src.Round.Round || len(dst.Round.Sel) != 3 || dst.Round.Data[5] != -15 {
+	if dst.Round.Round != src.Round.Round || len(dst.Round.Runs) != 2 || dst.Round.Data[5] != -15 {
 		t.Fatalf("decoded frame corrupted: %+v", dst.Round)
 	}
 }
@@ -159,7 +159,7 @@ func TestFramePoolSharedAcrossPumps(t *testing.T) {
 					return
 				}
 				r := &f.Round
-				if f.Kind != KindRound || r.Round != uint64(k) || len(r.Sel) != 2 ||
+				if f.Kind != KindRound || r.Round != uint64(k) || len(r.Runs) != 2 ||
 					r.Data[0] != int64(k) || r.Data[1] != -int64(k) {
 					t.Errorf("frame %d arrived corrupted: %+v", k, r)
 					done <- nil
@@ -174,7 +174,7 @@ func TestFramePoolSharedAcrossPumps(t *testing.T) {
 		var err error
 		w.b, err = AppendWireFrame(w.b, &Frame{Kind: KindRound, Round: RoundFrame{
 			Round: uint64(k), Node: 1, Words: 1, PrevFP: uint64(k),
-			Sel:  []uint32{uint32(k % 5), uint32(5 + k%7)},
+			Runs: []SelRun{{uint32(k % 5), 1}, {uint32(6 + k%7), 1}},
 			Data: []int64{int64(k), -int64(k)},
 		}})
 		if err != nil {

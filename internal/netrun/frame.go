@@ -13,14 +13,20 @@ package netrun
 // Layout (all big-endian, after the transport's 4-byte length prefix):
 //
 //	magic   u32  0x53504E52 ("SPNR")
-//	version u16  1
+//	version u16  2
 //	kind    u8   1=hello 2=round 3=bye
 //	body         per kind:
 //	  hello: node u32 | nodes u32 | specHash u64
 //	  round: round u64 | node u32 | words u16 | prevFP u64 |
-//	         enabled u32 | active u32 | selCount u32 |
-//	         selCount × (vertex u32) | selCount*words × (state u64)
+//	         enabled u32 | active u32 | runCount u32 |
+//	         runCount × (start u32, n u32) | Σn·words × (state u64)
 //	  bye:   node u32 | round u64
+//
+// A round frame's runs are ascending and maximal: every n is at least 1,
+// start+n fits in a u32, and a run starts at least one vertex past the
+// previous run's end — runs that touch or overlap are rejected, so one
+// selection has exactly one encoding. Under the synchronous
+// daemon a node's whole shard is one run.
 //
 // Version bumps are breaking by design: a frame of a different version is
 // rejected, not best-effort parsed — mixed-version rings would diverge.
@@ -28,14 +34,15 @@ package netrun
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Wire constants. MaxFrame bounds the decoded payload so a corrupt
 // length prefix cannot make a receiver allocate gigabytes: 1<<26 bytes
-// holds a full-shard selection of ~1M single-word vertices.
+// holds the words of a full-shard selection of ~8M single-word vertices.
 const (
 	frameMagic   uint32 = 0x53504E52 // "SPNR"
-	frameVersion uint16 = 1
+	frameVersion uint16 = 2
 	// MaxFrame is the largest payload either side of the transport will
 	// encode or accept.
 	MaxFrame = 1 << 26
@@ -97,11 +104,48 @@ type RoundFrame struct {
 	// Active counts the sender's outstanding grants, giving receivers a
 	// one-round-lagged view of global occupancy for capacity decisions.
 	Active uint32
-	// Sel lists the activated shard vertices in ascending order.
-	Sel []uint32
-	// Data holds the next packed words of each activated vertex,
-	// vertex-major: Sel[i]'s words at Data[i*Words : (i+1)*Words].
+	// Runs lists the activated shard vertices as ascending, maximal runs
+	// of consecutive ids.
+	Runs []SelRun
+	// Data holds the next packed words of each activated vertex, in
+	// ascending vertex order: the k-th activated vertex's words at
+	// Data[k*Words : (k+1)*Words].
 	Data []int64
+}
+
+// SelRun is the stretch of activated vertices Start, Start+1, …,
+// Start+N-1.
+type SelRun struct {
+	Start, N uint32
+}
+
+// appendRun appends r to runs, extending the last run instead when r
+// starts right where it ends — the merge that keeps a schedule built
+// from ascending pieces (single vertices, or runs of adjacent shards)
+// maximal.
+func appendRun(runs []SelRun, r SelRun) []SelRun {
+	if k := len(runs) - 1; k >= 0 && runs[k].Start+runs[k].N == r.Start {
+		runs[k].N += r.N
+		return runs
+	}
+	return append(runs, r)
+}
+
+// checkRun validates run i of a round frame given the end (start+n) of
+// run i-1, or -1 for the first run: the encoder and the decoder hold
+// every run to the same rules, which is what makes the codec canonical.
+func checkRun(i int, r SelRun, prevEnd int64) error {
+	switch start := int64(r.Start); {
+	case r.N == 0:
+		return fmt.Errorf("netrun: selection run %d is empty", i)
+	case start+int64(r.N) > math.MaxUint32:
+		return fmt.Errorf("netrun: selection run %d (start %d, n %d) wraps uint32", i, r.Start, r.N)
+	case start < prevEnd:
+		return fmt.Errorf("netrun: selection run %d overlaps or precedes run %d", i, i-1)
+	case start == prevEnd:
+		return fmt.Errorf("netrun: selection run %d is adjacent to run %d — runs must be maximal", i, i-1)
+	}
+	return nil
 }
 
 // Bye announces a clean shutdown after the sender's Round: the receiver
@@ -120,8 +164,12 @@ type Frame struct {
 	Bye   Bye
 }
 
-// headerLen is magic + version + kind.
-const headerLen = 4 + 2 + 1
+// headerLen is magic + version + kind; roundFixed is a round body's
+// fixed part, up to and including runCount.
+const (
+	headerLen  = 4 + 2 + 1
+	roundFixed = 8 + 4 + 2 + 8 + 4 + 4 + 4
+)
 
 // AppendFrame appends f's wire encoding (without the transport length
 // prefix) to dst and returns the extended slice. It validates the
@@ -141,16 +189,19 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 		if r.Words == 0 || r.Words > maxWords {
 			return nil, fmt.Errorf("netrun: frame words %d outside [1, %d]", r.Words, maxWords)
 		}
-		if len(r.Data) != len(r.Sel)*int(r.Words) {
-			return nil, fmt.Errorf("netrun: frame data %d words ≠ %d selections × %d words",
-				len(r.Data), len(r.Sel), r.Words)
-		}
-		for i := 1; i < len(r.Sel); i++ {
-			if r.Sel[i] <= r.Sel[i-1] {
-				return nil, fmt.Errorf("netrun: selection list not strictly ascending at index %d", i)
+		moved, prevEnd := 0, int64(-1)
+		for i, run := range r.Runs {
+			if err := checkRun(i, run, prevEnd); err != nil {
+				return nil, err
 			}
+			prevEnd = int64(run.Start) + int64(run.N)
+			moved += int(run.N)
 		}
-		if size := headerLen + 30 + len(r.Sel)*4 + len(r.Data)*8; size > MaxFrame {
+		if len(r.Data) != moved*int(r.Words) {
+			return nil, fmt.Errorf("netrun: frame data %d words ≠ %d moved vertices × %d words",
+				len(r.Data), moved, r.Words)
+		}
+		if size := headerLen + roundFixed + len(r.Runs)*8 + len(r.Data)*8; size > MaxFrame {
 			return nil, fmt.Errorf("netrun: frame %d bytes exceeds MaxFrame %d", size, MaxFrame)
 		}
 		dst = binary.BigEndian.AppendUint64(dst, r.Round)
@@ -159,9 +210,10 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint64(dst, r.PrevFP)
 		dst = binary.BigEndian.AppendUint32(dst, r.Enabled)
 		dst = binary.BigEndian.AppendUint32(dst, r.Active)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Sel)))
-		for _, v := range r.Sel {
-			dst = binary.BigEndian.AppendUint32(dst, v)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Runs)))
+		for _, run := range r.Runs {
+			dst = binary.BigEndian.AppendUint32(dst, run.Start)
+			dst = binary.BigEndian.AppendUint32(dst, run.N)
 		}
 		for _, w := range r.Data {
 			dst = binary.BigEndian.AppendUint64(dst, uint64(w))
@@ -177,7 +229,8 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 
 // DecodeFrame parses one payload (without the transport length prefix).
 // It is strict: wrong magic, wrong version, unknown kind, short bodies,
-// oversized counts and trailing bytes are all errors. It never panics on
+// oversized counts, runs that are empty, wrap, touch or overlap, and
+// trailing bytes are all errors. It never panics on
 // any input — FuzzFrameDecode holds it to that.
 func DecodeFrame(p []byte) (*Frame, error) {
 	f := new(Frame)
@@ -189,7 +242,7 @@ func DecodeFrame(p []byte) (*Frame, error) {
 
 // DecodeFrameInto parses one payload with DecodeFrame's exact semantics
 // and strictness, but decodes into f, reusing the capacity of
-// f.Round.Sel and f.Round.Data instead of allocating when they already
+// f.Round.Runs and f.Round.Data instead of allocating when they already
 // fit — the receive pumps decode every round into per-peer scratch
 // frames, so the steady-state decode path never touches the heap. Only
 // the decoded kind's fields are written; fields of other kinds keep
@@ -215,9 +268,8 @@ func DecodeFrameInto(f *Frame, p []byte) error {
 		f.Hello.Nodes = binary.BigEndian.Uint32(body[4:])
 		f.Hello.SpecHash = binary.BigEndian.Uint64(body[8:])
 	case KindRound:
-		const fixed = 8 + 4 + 2 + 8 + 4 + 4 + 4
-		if len(body) < fixed {
-			return fmt.Errorf("netrun: round body %d bytes shorter than the %d-byte fixed part", len(body), fixed)
+		if len(body) < roundFixed {
+			return fmt.Errorf("netrun: round body %d bytes shorter than the %d-byte fixed part", len(body), roundFixed)
 		}
 		r := &f.Round
 		r.Round = binary.BigEndian.Uint64(body)
@@ -226,45 +278,55 @@ func DecodeFrameInto(f *Frame, p []byte) error {
 		r.PrevFP = binary.BigEndian.Uint64(body[14:])
 		r.Enabled = binary.BigEndian.Uint32(body[22:])
 		r.Active = binary.BigEndian.Uint32(body[26:])
-		count := binary.BigEndian.Uint32(body[30:])
+		count := int64(binary.BigEndian.Uint32(body[30:]))
 		if r.Words == 0 || r.Words > maxWords {
 			return fmt.Errorf("netrun: frame words %d outside [1, %d]", r.Words, maxWords)
 		}
-		// Exact-length check before any allocation: count and words are
-		// attacker-controlled, the length prefix is the truth.
-		want := fixed + int64(count)*4 + int64(count)*int64(r.Words)*8
-		if want > MaxFrame {
-			return fmt.Errorf("netrun: round frame claims %d bytes, above MaxFrame %d", want, MaxFrame)
+		// Validate the runs in place and derive the exact length before
+		// any allocation: counts are attacker-controlled, the length
+		// prefix is the truth.
+		runsEnd := roundFixed + count*8
+		if runsEnd > int64(len(body)) {
+			return fmt.Errorf("netrun: %d selection runs overrun the %d-byte round body", count, len(body))
+		}
+		moved, prevEnd := int64(0), int64(-1)
+		for i := range int(count) {
+			run := runAt(body, i)
+			if err := checkRun(i, run, prevEnd); err != nil {
+				return err
+			}
+			prevEnd = int64(run.Start) + int64(run.N)
+			if moved += int64(run.N); moved > MaxFrame {
+				return fmt.Errorf("netrun: round frame moves %d+ vertices, above MaxFrame %d", moved, MaxFrame)
+			}
+		}
+		want := runsEnd + moved*int64(r.Words)*8
+		if headerLen+want > MaxFrame {
+			return fmt.Errorf("netrun: round frame claims %d bytes, above MaxFrame %d", headerLen+want, MaxFrame)
 		}
 		if int64(len(body)) != want {
-			return fmt.Errorf("netrun: round body %d bytes, %d selections × %d words needs %d",
-				len(body), count, r.Words, want)
+			return fmt.Errorf("netrun: round body %d bytes, %d runs of %d vertices × %d words needs %d",
+				len(body), count, moved, r.Words, want)
 		}
 		// Capacity reuse: reslice scratch when it fits, allocate when it
 		// does not (or on the first decode — a fresh make keeps the
 		// non-nil empty-slice shape DecodeFrame has always produced for
-		// count=0 frames).
-		if r.Sel == nil || cap(r.Sel) < int(count) {
-			r.Sel = make([]uint32, count)
+		// frames that move nothing).
+		if r.Runs == nil || int64(cap(r.Runs)) < count {
+			r.Runs = make([]SelRun, count)
 		} else {
-			r.Sel = r.Sel[:count]
+			r.Runs = r.Runs[:count]
 		}
-		off := fixed
-		prev := int64(-1)
-		for i := range r.Sel {
-			r.Sel[i] = binary.BigEndian.Uint32(body[off:])
-			if int64(r.Sel[i]) <= prev {
-				return fmt.Errorf("netrun: selection list not strictly ascending at index %d", i)
-			}
-			prev = int64(r.Sel[i])
-			off += 4
+		for i := range r.Runs {
+			r.Runs[i] = runAt(body, i)
 		}
-		n := int(count) * int(r.Words)
+		n := int(moved) * int(r.Words)
 		if r.Data == nil || cap(r.Data) < n {
 			r.Data = make([]int64, n)
 		} else {
 			r.Data = r.Data[:n]
 		}
+		off := int(runsEnd)
 		for i := range r.Data {
 			r.Data[i] = int64(binary.BigEndian.Uint64(body[off:]))
 			off += 8
@@ -279,4 +341,10 @@ func DecodeFrameInto(f *Frame, p []byte) error {
 		return fmt.Errorf("netrun: unknown frame kind %d", uint8(f.Kind))
 	}
 	return nil
+}
+
+// runAt reads run i of a round body whose length covers it.
+func runAt(body []byte, i int) SelRun {
+	off := roundFixed + 8*i
+	return SelRun{Start: binary.BigEndian.Uint32(body[off:]), N: binary.BigEndian.Uint32(body[off+4:])}
 }

@@ -18,32 +18,50 @@ var goldenFrames = []struct {
 	{
 		name: "hello",
 		f:    Frame{Kind: KindHello, Hello: Hello{Node: 1, Nodes: 3, SpecHash: 0x0123456789abcdef}},
-		hex:  "53504e5200010100000001000000030123456789abcdef",
+		hex:  "53504e5200020100000001000000030123456789abcdef",
 	},
 	{
 		name: "round",
 		f: Frame{Kind: KindRound, Round: RoundFrame{
 			Round: 7, Node: 2, Words: 1, PrevFP: 0xdeadbeefcafef00d,
-			Enabled: 3, Active: 1, Sel: []uint32{4, 9}, Data: []int64{5, -1},
+			Enabled: 3, Active: 1, Runs: []SelRun{{4, 1}, {9, 1}}, Data: []int64{5, -1},
 		}},
-		hex: "53504e520001020000000000000007000000020001deadbeefcafef00d" +
-			"00000003000000010000000200000004000000090000000000000005ffffffffffffffff",
+		hex: "53504e520002020000000000000007000000020001deadbeefcafef00d" +
+			"000000030000000100000002" + "0000000400000001" + "0000000900000001" +
+			"0000000000000005ffffffffffffffff",
+	},
+	{
+		name: "round-multirun",
+		f: Frame{Kind: KindRound, Round: RoundFrame{
+			Round: 256, Node: 1, Words: 2, PrevFP: 0x0102030405060708,
+			Enabled: 5, Active: 2, Runs: []SelRun{{4, 3}, {10, 1}},
+			Data: []int64{1, -2, 3, -4, 5, -6, 7, -8},
+		}},
+		hex: "53504e520002020000000000000100000000010002" + "0102030405060708" +
+			"000000050000000200000002" + "0000000400000003" + "0000000a00000001" +
+			"0000000000000001fffffffffffffffe0000000000000003fffffffffffffffc" +
+			"0000000000000005fffffffffffffffa0000000000000007fffffffffffffff8",
 	},
 	{
 		name: "round-empty",
 		f: Frame{Kind: KindRound, Round: RoundFrame{
 			Round: 1, Node: 0, Words: 2, PrevFP: 0x1122334455667788,
-			Enabled: 0, Active: 0, Sel: []uint32{}, Data: []int64{},
+			Enabled: 0, Active: 0, Runs: []SelRun{}, Data: []int64{},
 		}},
-		hex: "53504e5200010200000000000000010000000000021122334455667788" +
+		hex: "53504e5200020200000000000000010000000000021122334455667788" +
 			"000000000000000000000000",
 	},
 	{
 		name: "bye",
 		f:    Frame{Kind: KindBye, Bye: Bye{Node: 0, Round: 42}},
-		hex:  "53504e52000103" + "00000000" + "000000000000002a",
+		hex:  "53504e52000203" + "00000000" + "000000000000002a",
 	},
 }
+
+// v1RoundHex is the "round" golden frame as version 1 encoded it, one
+// vertex id per activation. This build must refuse it by version.
+const v1RoundHex = "53504e520001020000000000000007000000020001deadbeefcafef00d" +
+	"00000003000000010000000200000004000000090000000000000005ffffffffffffffff"
 
 func TestFrameGoldenVectors(t *testing.T) {
 	t.Parallel()
@@ -70,7 +88,7 @@ func TestFrameGoldenVectors(t *testing.T) {
 			got, want := dec.Round, g.f.Round
 			if got.Round != want.Round || got.Node != want.Node || got.Words != want.Words ||
 				got.PrevFP != want.PrevFP || got.Enabled != want.Enabled || got.Active != want.Active ||
-				!reflect.DeepEqual(got.Sel, want.Sel) || !reflect.DeepEqual(got.Data, want.Data) {
+				!reflect.DeepEqual(got.Runs, want.Runs) || !reflect.DeepEqual(got.Data, want.Data) {
 				t.Errorf("%s: decoded round %+v, want %+v", g.name, got, want)
 			}
 		}
@@ -84,11 +102,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	t.Parallel()
 	frames := []Frame{
 		{Kind: KindHello, Hello: Hello{Node: 0, Nodes: 2, SpecHash: 0}},
-		{Kind: KindRound, Round: RoundFrame{Round: 1, Node: 0, Words: 1, Sel: []uint32{}, Data: []int64{}}},
+		{Kind: KindRound, Round: RoundFrame{Round: 1, Node: 0, Words: 1, Runs: []SelRun{}, Data: []int64{}}},
 		{Kind: KindRound, Round: RoundFrame{
 			Round: 1 << 40, Node: 11, Words: 3, PrevFP: ^uint64(0), Enabled: 9, Active: 4,
-			Sel:  []uint32{0, 1, 2, 1000},
+			Runs: []SelRun{{0, 3}, {1000, 1}},
 			Data: []int64{1, -2, 3, 4, -5, 6, 7, -8, 9, 10, -11, 12},
+		}},
+		{Kind: KindRound, Round: RoundFrame{
+			Round: 2, Node: 1, Words: 1, Runs: []SelRun{{0xfffffffd, 2}}, Data: []int64{7, 8},
 		}},
 		{Kind: KindBye, Bye: Bye{Node: 7, Round: 9999}},
 	}
@@ -119,9 +140,16 @@ func TestDecodeFrameRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flip := func(off int, b byte) []byte {
+	v1, err := hex.DecodeString(v1RoundHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden round's body: 34 fixed bytes, run 0 = (4, 1) at 34,
+	// run 1 = (9, 1) at 42, then two data words.
+	const run0, run1 = headerLen + roundFixed, headerLen + roundFixed + 8
+	patch := func(off int, b ...byte) []byte {
 		p := append([]byte(nil), round...)
-		p[off] = b
+		copy(p[off:], b)
 		return p
 	}
 	cases := []struct {
@@ -131,27 +159,33 @@ func TestDecodeFrameRejects(t *testing.T) {
 	}{
 		{"empty", nil, "shorter than"},
 		{"short-header", round[:5], "shorter than"},
-		{"bad-magic", flip(0, 0xff), "bad frame magic"},
-		{"bad-version", flip(5, 9), "version"},
-		{"unknown-kind", flip(6, 9), "unknown frame kind"},
-		{"hello-short", append([]byte{0x53, 0x50, 0x4e, 0x52, 0, 1, 1}, 1, 2, 3), "hello body"},
+		{"bad-magic", patch(0, 0xff), "bad frame magic"},
+		{"bad-version", patch(5, 9), "version"},
+		{"v1-round", v1, "frame version 1, this build speaks 2"},
+		{"unknown-kind", patch(6, 9), "unknown frame kind"},
+		{"hello-short", append([]byte{0x53, 0x50, 0x4e, 0x52, 0, 2, 1}, 1, 2, 3), "hello body"},
+		{"round-short-fixed", round[:headerLen+roundFixed-1], "fixed part"},
 		{"round-truncated", round[:len(round)-1], "round body"},
 		{"round-trailing", append(append([]byte(nil), round...), 0), "round body"},
-		{"round-zero-words", flip(headerLen+13, 0), "words 0"},
-		{"bye-short", []byte{0x53, 0x50, 0x4e, 0x52, 0, 1, 3, 0}, "bye body"},
+		{"round-zero-words", patch(headerLen+13, 0), "words 0"},
+		{"bye-short", []byte{0x53, 0x50, 0x4e, 0x52, 0, 2, 3, 0}, "bye body"},
 		{"round-oversize", func() []byte {
-			// Claim 2^24 selections of 64 words: no length prefix could
+			// One run of 2^24 vertices of 64 words: no length prefix could
 			// carry that, so the size bound must fire before allocation.
-			p := append([]byte(nil), round[:headerLen+34]...)
+			p := append([]byte(nil), round[:run1]...)
 			p[headerLen+12], p[headerLen+13] = 0, 64
-			copy(p[headerLen+30:], []byte{0x01, 0x00, 0x00, 0x00})
+			copy(p[headerLen+30:], []byte{0, 0, 0, 1})
+			copy(p[run0:], []byte{0, 0, 0, 0, 0x01, 0, 0, 0})
 			return p
 		}(), "MaxFrame"},
-		{"round-descending", func() []byte {
-			p := append([]byte(nil), round...)
-			copy(p[headerLen+34:headerLen+42], []byte{0, 0, 0, 9, 0, 0, 0, 4})
-			return p
-		}(), "ascending"},
+		{"run-count-overrun", patch(headerLen+30, 0x10, 0, 0, 0), "overrun"},
+		{"run-count-max", patch(headerLen+30, 0xff, 0xff, 0xff, 0xff), "overrun"},
+		{"run-zero-length", patch(run0+4, 0, 0, 0, 0), "run 0 is empty"},
+		{"runs-adjacent", patch(run1, 0, 0, 0, 5), "run 1 is adjacent to run 0"},
+		{"runs-overlapping", patch(run0+4, 0, 0, 0, 6), "run 1 overlaps"},
+		{"runs-descending", patch(run0, 0, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0, 4), "run 1 overlaps or precedes"},
+		{"run-wraps", patch(run1, 0xff, 0xff, 0xff, 0xf0, 0, 0, 0, 0x20), "wraps uint32"},
+		{"run-end-overflows", patch(run1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1), "wraps uint32"},
 	}
 	for _, tc := range cases {
 		f, err := DecodeFrame(tc.p)
@@ -166,17 +200,30 @@ func TestDecodeFrameRejects(t *testing.T) {
 }
 
 // TestAppendFrameRejects pins the encoder's half of the contract: it
-// refuses frames whose encoding the decoder would reject.
+// refuses frames whose encoding the decoder would reject. (A run count
+// that overruns the body has no encoder counterpart — the encoder writes
+// len(Runs) — beyond data that does not match the runs.)
 func TestAppendFrameRejects(t *testing.T) {
 	t.Parallel()
+	round := func(runs ...SelRun) Frame {
+		moved := 0
+		for _, r := range runs {
+			moved += int(r.N)
+		}
+		return Frame{Kind: KindRound, Round: RoundFrame{Words: 1, Runs: runs, Data: make([]int64, moved)}}
+	}
 	cases := []struct {
 		name string
 		f    Frame
 		want string
 	}{
 		{"zero-words", Frame{Kind: KindRound, Round: RoundFrame{Words: 0}}, "words 0"},
-		{"data-mismatch", Frame{Kind: KindRound, Round: RoundFrame{Words: 2, Sel: []uint32{1}, Data: []int64{1}}}, "selections"},
-		{"descending", Frame{Kind: KindRound, Round: RoundFrame{Words: 1, Sel: []uint32{5, 5}, Data: []int64{1, 2}}}, "ascending"},
+		{"data-mismatch", Frame{Kind: KindRound, Round: RoundFrame{Words: 2, Runs: []SelRun{{1, 1}}, Data: []int64{1}}}, "moved vertices"},
+		{"zero-length-run", round(SelRun{3, 0}), "run 0 is empty"},
+		{"adjacent-runs", round(SelRun{1, 2}, SelRun{3, 1}), "run 1 is adjacent to run 0"},
+		{"overlapping-runs", round(SelRun{1, 3}, SelRun{2, 1}), "run 1 overlaps"},
+		{"descending-runs", round(SelRun{5, 1}, SelRun{5, 1}), "run 1 overlaps or precedes"},
+		{"wrapping-run", round(SelRun{0xfffffff0, 0x20}), "wraps uint32"},
 		{"unknown-kind", Frame{Kind: 77}, "kind"},
 	}
 	for _, tc := range cases {

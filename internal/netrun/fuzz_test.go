@@ -27,8 +27,36 @@ func FuzzFrameDecode(f *testing.F) {
 			f.Add(flip)
 		}
 	}
+	// The version-1 round frame, and version-2 frames whose runs break
+	// exactly one rule each (zero length, touching, overlapping, wrapping,
+	// count overrunning the body) around otherwise valid bytes: accepting
+	// any of them would be a non-canonical decode.
+	v1, err := hex.DecodeString(v1RoundHex)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	round, err := AppendFrame(nil, &goldenFrames[1].f)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const run0, run1 = headerLen + roundFixed, headerLen + roundFixed + 8
+	for _, c := range []struct {
+		off int
+		b   []byte
+	}{
+		{run0 + 4, []byte{0, 0, 0, 0}},
+		{run1, []byte{0, 0, 0, 5}},
+		{run0 + 4, []byte{0, 0, 0, 6}},
+		{run1, []byte{0xff, 0xff, 0xff, 0xff}},
+		{headerLen + 30, []byte{0, 0, 0, 3}},
+	} {
+		p := append([]byte(nil), round...)
+		copy(p[c.off:], c.b)
+		f.Add(p)
+	}
 	f.Add([]byte{})
-	f.Add([]byte{0x53, 0x50, 0x4e, 0x52, 0, 1, 2})
+	f.Add([]byte{0x53, 0x50, 0x4e, 0x52, 0, 2, 2})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		dec, err := DecodeFrame(p)
 		if err != nil {

@@ -91,16 +91,11 @@ const (
 // journalRec is one committed round in arena form. The round number is
 // implicit — rounds are dense from 1, so record i is round i+1 — and the
 // schedule is the run-arena slice between the previous record's runEnd
-// and this one's.
+// and this one's: the maximal runs of consecutive vertex ids the commit
+// formed. A round in which every vertex fires is a single run.
 type journalRec struct {
 	fp     uint64
 	runEnd int
-}
-
-// journalRun is a maximal stretch start, start+1, …, start+n-1 of one
-// round's schedule. A round in which every vertex fires is a single run.
-type journalRun struct {
-	start, n uint32
 }
 
 // journalWriter accumulates rounds in arena form (materialized on
@@ -112,7 +107,7 @@ type journalRun struct {
 type journalWriter struct {
 	hdr   Header
 	recs  []journalRec
-	runs  []journalRun
+	runs  []SelRun
 	moves int // total schedule length over recs, the journal() slab size
 
 	sink     io.Writer
@@ -141,28 +136,23 @@ func newJournalWriter(h Header, sink io.Writer) (*journalWriter, error) {
 }
 
 // round records committed round r, which must follow the last recorded
-// one (rounds are dense from 1). sel's vertex ids — uint32 on the wire,
-// so uint32 here — are run-length encoded into the arena in their given
-// order; the caller keeps ownership of sel and may reuse it next round.
-func (jw *journalWriter) round(r int64, sel []int, fp uint64) error {
+// one (rounds are dense from 1). sched is the round's schedule as the
+// commit formed it — ascending, maximal runs — and goes into the arena
+// as is; it is expanded into vertex ids only for the JSONL sink. The
+// caller keeps ownership of sched and may reuse it next round.
+func (jw *journalWriter) round(r int64, sched []SelRun, fp uint64) error {
 	if want := int64(len(jw.recs) + 1); r != want {
 		return fmt.Errorf("netrun: journal round %d, want %d (rounds must be dense from 1)", r, want)
 	}
-	for i := 0; i < len(sel); {
-		start := sel[i]
-		j := i + 1
-		for j < len(sel) && sel[j] == start+(j-i) {
-			j++
-		}
-		jw.runs = append(jw.runs, journalRun{start: uint32(start), n: uint32(j - i)})
-		i = j
-	}
+	jw.runs = append(jw.runs, sched...)
 	jw.recs = append(jw.recs, journalRec{fp: fp, runEnd: len(jw.runs)})
-	jw.moves += len(sel)
+	for _, run := range sched {
+		jw.moves += int(run.N)
+	}
 	if jw.sink == nil {
 		return nil
 	}
-	jw.buf = appendEntryJSON(jw.buf, r, sel, fp)
+	jw.buf = appendEntryJSON(jw.buf, r, sched, fp)
 	jw.pending++
 	jw.buffered.Store(int64(len(jw.buf)))
 	if len(jw.buf) >= journalFlushBytes || jw.pending >= journalFlushRounds {
@@ -198,8 +188,8 @@ func (jw *journalWriter) journal() *Journal {
 		first := off
 		for ; ri < rec.runEnd; ri++ {
 			run := jw.runs[ri]
-			for k := range run.n {
-				slab[off] = int(run.start + k)
+			for k := range run.N {
+				slab[off] = int(run.Start + k)
 				off++
 			}
 		}
@@ -213,18 +203,21 @@ func (jw *journalWriter) journal() *Journal {
 	return j
 }
 
-// appendEntryJSON appends one round entry, byte-for-byte what
-// json.Encoder.Encode(Entry{...}) writes — TestJournalEntryJSON holds
-// the two codecs together — without allocating.
-func appendEntryJSON(b []byte, r int64, sel []int, fp uint64) []byte {
+// appendEntryJSON appends one round entry with sched's runs expanded
+// into vertex ids, byte-for-byte what json.Encoder.Encode(Entry{...})
+// writes — TestJournalEntryJSON holds the two codecs together — without
+// allocating.
+func appendEntryJSON(b []byte, r int64, sched []SelRun, fp uint64) []byte {
 	b = append(b, `{"kind":"round","round":`...)
 	b = strconv.AppendInt(b, r, 10)
 	b = append(b, `,"sel":[`...)
-	for i, v := range sel {
-		if i > 0 {
-			b = append(b, ',')
+	for i, run := range sched {
+		for k := range run.N {
+			if i > 0 || k > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(run.Start+k), 10)
 		}
-		b = strconv.AppendInt(b, int64(v), 10)
 	}
 	b = append(b, `],"fp":"`...)
 	for shift := 60; shift >= 0; shift -= 4 {

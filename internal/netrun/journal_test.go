@@ -9,6 +9,7 @@ package netrun
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,26 +34,73 @@ func testHeader() Header {
 	}
 }
 
-// TestJournalEntryJSON pins appendEntryJSON to json.Encoder's bytes —
-// the comparison the comment in journal.go promises.
-func TestJournalEntryJSON(t *testing.T) {
-	cases := []Entry{
-		{Kind: "round", Round: 1, Sel: []int{0}, FP: fpString(0)},
-		{Kind: "round", Round: 42, Sel: []int{3, 7, 1000000}, FP: fpString(0x00000000deadbeef)},
-		{Kind: "round", Round: 9_000_000_000, Sel: []int{}, FP: fpString(^uint64(0))},
+// runsOf is the maximal-run form of an ascending vertex list, built
+// one vertex at a time the way selectLocal builds a frame's runs.
+func runsOf(sel []int) []SelRun {
+	runs := []SelRun{}
+	for _, v := range sel {
+		runs = appendRun(runs, SelRun{Start: uint32(v), N: 1})
 	}
-	for _, e := range cases {
+	return runs
+}
+
+// commitRuns is the schedule the commit forms for sel on an n-ring of
+// nodes shards: each shard's share as that node's frame would carry it,
+// concatenated in shard order through appendRun, so runs meeting at a
+// shard boundary merge.
+func commitRuns(sel []int, n, nodes int) []SelRun {
+	sched := []SelRun{}
+	for id := 0; id < nodes; id++ {
+		lo, hi := shardRange(n, nodes, id)
+		var share []int
+		for _, v := range sel {
+			if v >= lo && v < hi {
+				share = append(share, v)
+			}
+		}
+		for _, r := range runsOf(share) {
+			sched = appendRun(sched, r)
+		}
+	}
+	return sched
+}
+
+// TestJournalEntryJSON pins appendEntryJSON to json.Encoder's bytes —
+// the comparison the comment in journal.go promises — for schedules
+// given as runs, including several runs and runs merged across a shard
+// boundary.
+func TestJournalEntryJSON(t *testing.T) {
+	lo1, _ := shardRange(12, 3, 1)
+	cases := []struct {
+		e     Entry
+		sched []SelRun
+	}{
+		{Entry{Kind: "round", Round: 1, Sel: []int{0}, FP: fpString(0)}, []SelRun{{0, 1}}},
+		{Entry{Kind: "round", Round: 42, Sel: []int{3, 7, 1000000}, FP: fpString(0x00000000deadbeef)},
+			[]SelRun{{3, 1}, {7, 1}, {1000000, 1}}},
+		{Entry{Kind: "round", Round: 9_000_000_000, Sel: []int{}, FP: fpString(^uint64(0))}, []SelRun{}},
+		{Entry{Kind: "round", Round: 5, Sel: []int{0, 1, 2, 5, 6, 10}, FP: fpString(5)},
+			[]SelRun{{0, 3}, {5, 2}, {10, 1}}},
+		// Shard 0's run ends where shard 1's begins: the commit's
+		// appendRun leaves one run of five.
+		{Entry{Kind: "round", Round: 6, Sel: []int{2, 3, 4, 5, 6}, FP: fpString(6)},
+			appendRun([]SelRun{{2, uint32(lo1 - 2)}}, SelRun{uint32(lo1), uint32(7 - lo1)})},
+	}
+	if got := cases[4].sched; len(got) != 1 || got[0] != (SelRun{2, 5}) {
+		t.Fatalf("runs meeting at the shard boundary %d did not merge: %v", lo1, got)
+	}
+	for _, c := range cases {
 		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(e); err != nil {
+		if err := json.NewEncoder(&want).Encode(c.e); err != nil {
 			t.Fatal(err)
 		}
-		fp, err := parseFP(e.FP)
+		fp, err := parseFP(c.e.FP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := appendEntryJSON(nil, e.Round, e.Sel, fp)
+		got := appendEntryJSON(nil, c.e.Round, c.sched, fp)
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("appendEntryJSON(%+v):\n got %q\nwant %q", e, got, want.Bytes())
+			t.Errorf("appendEntryJSON(%+v):\n got %q\nwant %q", c.e, got, want.Bytes())
 		}
 	}
 }
@@ -69,7 +117,7 @@ func TestJournalFlushPolicy(t *testing.T) {
 	if headerLen == 0 {
 		t.Fatal("header not written immediately")
 	}
-	if err := jw.round(1, []int{0, 5}, 0x1111); err != nil {
+	if err := jw.round(1, runsOf([]int{0, 5}), 0x1111); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Len() != headerLen {
@@ -80,7 +128,7 @@ func TestJournalFlushPolicy(t *testing.T) {
 	}
 	// The round-count trigger.
 	for r := int64(2); r <= journalFlushRounds; r++ {
-		if err := jw.round(r, []int{int(r % 12)}, uint64(r)); err != nil {
+		if err := jw.round(r, runsOf([]int{int(r % 12)}), uint64(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +139,7 @@ func TestJournalFlushPolicy(t *testing.T) {
 		t.Fatal("buffered gauge nonzero right after a flush")
 	}
 	// The explicit flush (the drain/bye/fault path).
-	if err := jw.round(journalFlushRounds+1, []int{1}, 0x2222); err != nil {
+	if err := jw.round(journalFlushRounds+1, runsOf([]int{1}), 0x2222); err != nil {
 		t.Fatal(err)
 	}
 	if err := jw.flush(); err != nil {
@@ -110,8 +158,11 @@ func TestJournalFlushPolicy(t *testing.T) {
 }
 
 // TestJournalArenaSchedules round-trips the run-length arena: for each
-// schedule shape the materialized journal must equal both the schedule
-// that was written and the JSONL the sink received.
+// schedule shape, written as the runs the commit forms from three
+// shards' frames, the materialized journal must equal both the schedule
+// that was written and the JSONL the sink received, and the arena must
+// hold the schedule's maximal runs — runs meeting at a shard boundary
+// merged into one.
 func TestJournalArenaSchedules(t *testing.T) {
 	const n, nodes = 1024, 3
 	span := func(lo, hi, stride int) []int {
@@ -135,6 +186,8 @@ func TestJournalArenaSchedules(t *testing.T) {
 		"shard gaps":    {boundaryGaps, span(0, n, 1), boundaryGaps},
 		"ends":          {{0, n - 1}, {0}, {n - 1}},
 		"mixed":         {{0, 1, 2, 4, 6, 7, n - 2, n - 1}, {3}, span(0, n, 3)},
+		"multi-run":     {append(span(10, 20, 1), append(span(30, 40, 1), span(500, 900, 1)...)...)},
+		"across shards": {span(300, 700, 1), span(0, 683, 1), span(341, 342, 1)},
 	}
 	for name, sched := range schedules {
 		var sink bytes.Buffer
@@ -145,8 +198,12 @@ func TestJournalArenaSchedules(t *testing.T) {
 		want := &Journal{Header: jw.hdr}
 		for i, sel := range sched {
 			r, fp := int64(i+1), uint64(i)*0x9e3779b97f4a7c15
-			if err := jw.round(r, sel, fp); err != nil {
+			before := len(jw.runs)
+			if err := jw.round(r, commitRuns(sel, n, nodes), fp); err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			if got, maximal := jw.runs[before:], runsOf(sel); !reflect.DeepEqual(got, maximal) {
+				t.Errorf("%s: round %d keeps runs %v, want the maximal %v", name, r, got, maximal)
 			}
 			want.Entries = append(want.Entries, Entry{Kind: "round", Round: r, Sel: sel, FP: fpString(fp)})
 		}
@@ -201,7 +258,7 @@ func TestJournalArenaBound(t *testing.T) {
 		}
 	}
 	for r := int64(1); r <= 100; r++ {
-		if err := jw.round(r, full, uint64(r)); err != nil {
+		if err := jw.round(r, commitRuns(full, n, 3), uint64(r)); err != nil {
 			t.Fatal(err)
 		}
 		if len(jw.runs) != int(r) {
@@ -209,13 +266,13 @@ func TestJournalArenaBound(t *testing.T) {
 		}
 	}
 	before := len(jw.runs)
-	if err := jw.round(101, alternating, 101); err != nil {
+	if err := jw.round(101, commitRuns(alternating, n, 3), 101); err != nil {
 		t.Fatal(err)
 	}
 	if added := len(jw.runs) - before; added != len(alternating) {
 		t.Fatalf("alternating round added %d runs, want %d (one per move)", added, len(alternating))
 	}
-	if err := jw.round(103, full, 103); err == nil {
+	if err := jw.round(103, commitRuns(full, n, 3), 103); err == nil {
 		t.Fatal("a skipped round number was accepted")
 	}
 }
@@ -248,7 +305,7 @@ func TestReadJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := int64(1); r <= 3; r++ {
-		if err := jw.round(r, []int{int(r)}, uint64(r)); err != nil {
+		if err := jw.round(r, runsOf([]int{int(r)}), uint64(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,15 +339,15 @@ func TestReadJournalTornTail(t *testing.T) {
 }
 
 // TestDecodeFrameIntoReuse checks the decode scratch contract: a second
-// decode into the same frame reuses Sel/Data backing when it fits.
+// decode into the same frame reuses Runs/Data backing when it fits.
 func TestDecodeFrameIntoReuse(t *testing.T) {
 	big := &Frame{Kind: KindRound, Round: RoundFrame{
 		Round: 1, Node: 2, Words: 1, PrevFP: 9,
-		Sel: []uint32{1, 4, 6}, Data: []int64{-1, -4, -6},
+		Runs: []SelRun{{1, 1}, {4, 1}, {6, 2}}, Data: []int64{-1, -4, -6, -7},
 	}}
 	small := &Frame{Kind: KindRound, Round: RoundFrame{
 		Round: 2, Node: 2, Words: 1, PrevFP: 10,
-		Sel: []uint32{5}, Data: []int64{55},
+		Runs: []SelRun{{5, 1}}, Data: []int64{55},
 	}}
 	pb, err := AppendFrame(nil, big)
 	if err != nil {
@@ -304,22 +361,22 @@ func TestDecodeFrameIntoReuse(t *testing.T) {
 	if err := DecodeFrameInto(&f, pb); err != nil {
 		t.Fatal(err)
 	}
-	firstSel := &f.Round.Sel[0]
+	firstRun, firstData := &f.Round.Runs[0], &f.Round.Data[0]
 	if err := DecodeFrameInto(&f, ps); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Round.Sel) != 1 || f.Round.Sel[0] != 5 || f.Round.Data[0] != 55 {
+	if len(f.Round.Runs) != 1 || f.Round.Runs[0] != (SelRun{5, 1}) || len(f.Round.Data) != 1 || f.Round.Data[0] != 55 {
 		t.Fatalf("reused decode corrupted: %+v", f.Round)
 	}
-	if &f.Round.Sel[0] != firstSel {
-		t.Error("smaller decode did not reuse the existing Sel backing")
+	if &f.Round.Runs[0] != firstRun || &f.Round.Data[0] != firstData {
+		t.Error("smaller decode did not reuse the existing Runs/Data backing")
 	}
 	// And the result must match a fresh DecodeFrame bit for bit.
 	fresh, err := DecodeFrame(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Round.Round != f.Round.Round || fresh.Round.Sel[0] != f.Round.Sel[0] {
+	if fresh.Round.Round != f.Round.Round || fresh.Round.Runs[0] != f.Round.Runs[0] || fresh.Round.Data[0] != f.Round.Data[0] {
 		t.Fatal("DecodeFrameInto and DecodeFrame disagree")
 	}
 }

@@ -74,53 +74,73 @@ func TestResolveLock(t *testing.T) {
 	}
 }
 
-// TestClusterReplicates runs a three-node ring for a fixed budget and
-// checks the replication invariants: all journals identical, every
-// committed round fingerprint-chained, and the whole execution accepted
-// by the in-process engine via Replay.
+// TestClusterReplicates runs a three-node ring for a fixed budget —
+// SSME and Dijkstra, each under the synchronous and the distributed
+// daemon, with JSONL sinks — and checks the replication invariants:
+// every node's streamed journal parses back to its in-memory one, all
+// journals are identical, and every one is accepted by the in-process
+// engine via Replay. The distributed daemon's coin flips fragment a
+// round's schedule into several runs; a synchronous SSME round is one.
 func TestClusterReplicates(t *testing.T) {
 	t.Parallel()
-	var bufs [3]bytes.Buffer
-	c, err := StartCluster(ClusterConfig{
-		Spec:      ringSpec(7, "sync"),
-		MaxRounds: 200,
-		Journals:  []io.Writer{&bufs[0], &bufs[1], &bufs[2]},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	j0 := c.Node(0).Journal()
-	if len(j0.Entries) != 200 {
-		t.Fatalf("node 0 committed %d rounds, want 200", len(j0.Entries))
-	}
-	for i := 1; i < c.Nodes(); i++ {
-		ji := c.Node(i).Journal()
-		if !reflect.DeepEqual(j0.Entries, ji.Entries) {
-			t.Fatalf("node %d journal diverges from node 0", i)
+	for _, proto := range []string{"ssme", "dijkstra"} {
+		for _, daemon := range []string{"sync", "distributed"} {
+			t.Run(proto+"/"+daemon, func(t *testing.T) {
+				t.Parallel()
+				spec := ringSpec(7, daemon)
+				if proto == "ssme" {
+					spec.Scenario.Protocol = scenario.ProtocolSpec{Name: "ssme"}
+				}
+				const rounds = 200
+				var bufs [3]bytes.Buffer
+				c, err := StartCluster(ClusterConfig{
+					Spec:      spec,
+					MaxRounds: rounds,
+					Journals:  []io.Writer{&bufs[0], &bufs[1], &bufs[2]},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if err := c.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				j0 := c.Node(0).Journal()
+				if len(j0.Entries) != rounds {
+					t.Fatalf("node 0 committed %d rounds, want %d", len(j0.Entries), rounds)
+				}
+				maxRuns := 0
+				for _, e := range j0.Entries {
+					maxRuns = max(maxRuns, len(runsOf(e.Sel)))
+				}
+				if daemon == "distributed" && maxRuns < 2 {
+					t.Error("no round of the distributed run has more than one run")
+				}
+				for i := range bufs {
+					fromDisk, err := ReadJournal(bytes.NewReader(bufs[i].Bytes()))
+					if err != nil {
+						t.Fatalf("node %d: %v", i, err)
+					}
+					if !reflect.DeepEqual(fromDisk.Entries, c.Node(i).Journal().Entries) {
+						t.Fatalf("node %d: streamed journal diverges from the in-memory one", i)
+					}
+					if !reflect.DeepEqual(fromDisk.Entries, j0.Entries) {
+						t.Fatalf("node %d journal diverges from node 0", i)
+					}
+					if fromDisk.Header.InitFP != j0.Header.InitFP {
+						t.Fatalf("node %d: streamed header diverges", i)
+					}
+					// The oracle: the wire execution replays bitwise in the engine.
+					res, err := Replay(fromDisk)
+					if err != nil {
+						t.Fatalf("node %d: %v", i, err)
+					}
+					if res.Rounds != rounds || res.Protocol != proto {
+						t.Errorf("node %d: replay summary %+v", i, res)
+					}
+				}
+			})
 		}
-	}
-	// The streamed JSONL parses back to the in-memory journal.
-	fromDisk, err := ReadJournal(bytes.NewReader(bufs[0].Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromDisk.Entries, j0.Entries) {
-		t.Fatal("streamed journal diverges from the in-memory one")
-	}
-	if fromDisk.Header.InitFP != j0.Header.InitFP {
-		t.Fatal("streamed header diverges")
-	}
-	// The oracle: the wire execution replays bitwise in the engine.
-	res, err := Replay(fromDisk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 200 || res.Protocol != "dijkstra" {
-		t.Errorf("replay summary %+v", res)
 	}
 }
 
@@ -145,6 +165,85 @@ func TestClusterDistributedPolicyReplays(t *testing.T) {
 	}
 	if _, err := Replay(j); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCommitChecksShards drives the commit without sockets. Frames that
+// stay inside their senders' shards land every word and merge runs that
+// meet at a shard boundary; a run that starts inside its sender's shard
+// and ends outside it — directly, or by wrapping Start+N past 2^32 — is
+// an error naming the peer, and nothing is committed, not even the valid
+// frames before it.
+func TestCommitChecksShards(t *testing.T) {
+	t.Parallel()
+	spec := ringSpec(3, "sync")
+	nd, err := NewNode(Config{ID: 0, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// other's replica is a different valid configuration to commit.
+	other, err := NewNode(Config{ID: 0, Spec: ringSpec(4, "sync")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := nd.words
+	frame := func(runs ...SelRun) *RoundFrame {
+		f := &RoundFrame{Runs: runs}
+		for _, r := range runs {
+			f.Data = append(f.Data, other.st[int(r.Start)*w:int(r.Start+r.N)*w]...)
+		}
+		return f
+	}
+	var shards [3]SelRun
+	for j := range shards {
+		lo, hi := shardRange(nd.n, nd.nodes, j)
+		shards[j] = SelRun{Start: uint32(lo), N: uint32(hi - lo)}
+	}
+	st0 := append([]int64(nil), nd.st...)
+	shadow0 := append([]int(nil), nd.shadow...)
+
+	lo1, hi1 := shardRange(nd.n, nd.nodes, 1)
+	for _, tc := range []struct {
+		name   string
+		frames []*RoundFrame
+		want   string
+	}{
+		{"ends past the shard", []*RoundFrame{frame(shards[0]), frame(SelRun{uint32(lo1 + 1), uint32(hi1 - lo1)}), frame(shards[2])},
+			fmt.Sprintf("peer 1 activated vertices [%d, %d) outside its shard [%d, %d)", lo1+1, hi1+1, lo1, hi1)},
+		{"wraps uint32", []*RoundFrame{frame(shards[0]), {Runs: []SelRun{{uint32(lo1), ^uint32(0) - uint32(lo1) + 2}}}, frame(shards[2])},
+			"peer 1 activated vertices"},
+		{"in a neighbour's shard", []*RoundFrame{frame(shards[0]), frame(shards[1]), frame(SelRun{uint32(hi1 - 1), 1})},
+			"peer 2 activated vertices"},
+	} {
+		sched, err := nd.commit(tc.frames)
+		if err == nil {
+			t.Errorf("%s: committed schedule %v, want an error", tc.name, sched)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		if !reflect.DeepEqual(nd.st, st0) || !reflect.DeepEqual([]int(nd.shadow), shadow0) {
+			t.Fatalf("%s: a rejected round changed the replica", tc.name)
+		}
+	}
+
+	// Valid frames: shard 0 and 1 meet at lo1 and merge; shard 2 sends a
+	// run that stops short of its shard's start.
+	lo2, hi2 := shardRange(nd.n, nd.nodes, 2)
+	sched, err := nd.commit([]*RoundFrame{frame(shards[0]), frame(shards[1]), frame(SelRun{uint32(lo2 + 1), uint32(hi2 - lo2 - 1)})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []SelRun{{0, uint32(lo2)}, {uint32(lo2 + 1), uint32(hi2 - lo2 - 1)}}; !reflect.DeepEqual(sched, want) {
+		t.Fatalf("schedule %v, want %v", sched, want)
+	}
+	for v := 0; v < nd.n; v++ {
+		want, wantState := other.st[v*w:(v+1)*w], other.shadow[v]
+		if v == lo2 {
+			want, wantState = st0[v*w:(v+1)*w], shadow0[v]
+		}
+		if !reflect.DeepEqual(nd.st[v*w:(v+1)*w], want) || nd.shadow[v] != wantState {
+			t.Errorf("vertex %d: replica %v / %v, want %v / %v", v, nd.st[v*w:(v+1)*w], nd.shadow[v], want, wantState)
+		}
 	}
 }
 

@@ -80,19 +80,19 @@ type Node struct {
 	fp     uint64          // fingerprint after the last committed round
 	rng    *rand.Rand      // node-local selection coin (distributed policy)
 
-	// Reused per-round buffers (round loop only). frameScratch is the
-	// node's own contribution; framesBuf/unionBuf/activeBuf are the
-	// commit's working set, hoisted here so the steady-state round loop
-	// never allocates.
+	// Reused per-round buffers (round loop only). index is the identity
+	// 0..n-1: the shard's vertex list and every run's vertex list handed
+	// to the kernels are subslices of it. frameScratch is the node's own
+	// contribution; framesBuf/schedBuf/activeBuf are the commit's working
+	// set, hoisted here so the steady-state round loop never allocates.
+	index        []int
 	shardVs      []int
 	rules        []sim.Rule
-	selBuf       []int
-	ruleBuf      []sim.Rule
-	sel32        []uint32
+	runBuf       []SelRun
 	outBuf       []int64
 	frameScratch Frame
 	framesBuf    []*RoundFrame
-	unionBuf     []int
+	schedBuf     []SelRun
 	activeBuf    []uint32
 
 	ln        net.Listener
@@ -169,18 +169,17 @@ func NewNode(cfg Config) (*Node, error) {
 	nd.shadow = append(sim.Config[int](nil), initial...)
 	nd.fp = sim.FingerprintConfig(nd.shadow)
 	nd.fpPub.Store(nd.fp)
-	shard := nd.hi - nd.lo
-	nd.shardVs = make([]int, shard)
-	for i := range nd.shardVs {
-		nd.shardVs[i] = nd.lo + i
+	nd.index = make([]int, n)
+	for v := range nd.index {
+		nd.index[v] = v
 	}
+	shard := nd.hi - nd.lo
+	nd.shardVs = nd.index[nd.lo:nd.hi]
 	nd.rules = make([]sim.Rule, shard)
-	nd.selBuf = make([]int, 0, shard)
-	nd.ruleBuf = make([]sim.Rule, 0, shard)
-	nd.sel32 = make([]uint32, 0, shard)
+	nd.runBuf = make([]SelRun, 0, shard)
 	nd.outBuf = make([]int64, shard*nd.words)
 	nd.framesBuf = make([]*RoundFrame, spec.Nodes)
-	nd.unionBuf = make([]int, 0, n)
+	nd.schedBuf = make([]SelRun, 0, n)
 	nd.activeBuf = make([]uint32, 0, spec.Nodes)
 	nd.gate = newGate(nd.id, nd.nodes, n, nd.lo, nd.hi, spec.Capacity, int64(spec.LeaseRounds), lock)
 	nd.peers = make([]*Conn, spec.Nodes)
@@ -379,22 +378,22 @@ func (nd *Node) Run(maxRounds int64) error {
 			return nd.sayBye()
 		}
 
-		// Evaluate, select and apply the local shard against the replica.
+		// Evaluate, select and apply the local shard against the replica,
+		// one kernel call per selected run.
 		nd.flat.EnabledRuleFlat(nd.st, nd.words, 0, nd.shardVs, nd.rules)
-		sel, rules, enabled := nd.selectLocal()
-		out := nd.outBuf[:len(sel)*nd.words]
-		if len(sel) > 0 {
-			nd.flat.ApplyFlat(nd.st, nd.words, 0, sel, rules, out, nd.words, 0)
-		}
-		nd.sel32 = nd.sel32[:0]
-		for _, v := range sel {
-			nd.sel32 = append(nd.sel32, uint32(v))
+		runs, enabled := nd.selectLocal()
+		moved := 0
+		for _, run := range runs {
+			s, e := int(run.Start), int(run.Start+run.N)
+			nd.flat.ApplyFlat(nd.st, nd.words, 0, nd.index[s:e], nd.rules[s-nd.lo:e-nd.lo],
+				nd.outBuf[moved*nd.words:], nd.words, 0)
+			moved += e - s
 		}
 		nd.frameScratch.Kind = KindRound
 		nd.frameScratch.Round = RoundFrame{
 			Round: uint64(r), Node: uint32(nd.id), Words: uint16(nd.words),
 			PrevFP: nd.fp, Enabled: uint32(enabled), Active: uint32(nd.gate.activeCount()),
-			Sel: nd.sel32, Data: out,
+			Runs: runs, Data: nd.outBuf[:moved*nd.words],
 		}
 		// Encode once into a pooled buffer and fan the same bytes out to
 		// every write pump, one reference each; the pump that writes last
@@ -446,34 +445,24 @@ func (nd *Node) Run(maxRounds int64) error {
 			frames[j] = f
 		}
 
-		// Commit: apply every shard's moved words, form the effective
-		// schedule, refresh the shadow and fingerprint, journal, grant.
-		union := nd.unionBuf[:0]
-		for j, f := range frames {
-			jlo, jhi := shardRange(nd.n, nd.nodes, j)
-			for i, v32 := range f.Sel {
-				v := int(v32)
-				if v < jlo || v >= jhi {
-					nd.stalled.Store(true)
-					return fmt.Errorf("netrun: peer %d activated vertex %d outside its shard [%d, %d)", j, v, jlo, jhi)
-				}
-				copy(nd.st[v*nd.words:(v+1)*nd.words], f.Data[i*nd.words:(i+1)*nd.words])
-				union = append(union, v)
-			}
+		// Commit: land every shard's moved words and form the effective
+		// schedule, then refresh the fingerprint, journal, grant.
+		sched, err := nd.commit(frames)
+		if err != nil {
+			nd.stalled.Store(true)
+			return err
 		}
-		nd.unionBuf = union
-		if len(union) == 0 {
+		if len(sched) == 0 {
 			// The protocol is terminal (no vertex enabled anywhere) —
 			// unreachable for deadlock-free locks, but never journal a
 			// round the engine could not replay.
 			nd.sayBye()
 			return nil
 		}
-		nd.flat.DecodeStates(nd.st, nd.words, 0, union, nd.shadow)
 		nd.fp = sim.FingerprintConfig(nd.shadow)
 		nd.fpPub.Store(nd.fp)
 		nd.round.Store(r)
-		if err := nd.jw.round(r, union, nd.fp); err != nil {
+		if err := nd.jw.round(r, sched, nd.fp); err != nil {
 			return err
 		}
 		peerActive := nd.activeBuf[:0]
@@ -530,35 +519,67 @@ func (nd *Node) stopPumps() {
 	}
 }
 
+// commit lands every frame's moved words in the replica and the decoded
+// shadow — one copy and one DecodeStates call per run — and returns the
+// round's effective schedule: the union of the frames' runs, ascending
+// because shards are, with runs that meet across a shard boundary merged
+// so the schedule stays maximal. frames is indexed by node id. Every run
+// is checked against its sender's shard before anything is written, in
+// int arithmetic so a hostile Start+N cannot wrap back inside the
+// shard: a bad frame is an error naming the peer, and the replica is
+// left untouched. That each frame's Data holds exactly its runs' words
+// is the decoder's guarantee.
+func (nd *Node) commit(frames []*RoundFrame) ([]SelRun, error) {
+	for j, f := range frames {
+		jlo, jhi := shardRange(nd.n, nd.nodes, j)
+		for _, run := range f.Runs {
+			if s, e := int(run.Start), int(run.Start)+int(run.N); s < jlo || e > jhi {
+				return nil, fmt.Errorf("netrun: peer %d activated vertices [%d, %d) outside its shard [%d, %d)", j, s, e, jlo, jhi)
+			}
+		}
+	}
+	w, sched := nd.words, nd.schedBuf[:0]
+	for _, f := range frames {
+		off := 0
+		for _, run := range f.Runs {
+			s, e := int(run.Start), int(run.Start+run.N)
+			off += copy(nd.st[s*w:e*w], f.Data[off:])
+			nd.flat.DecodeStates(nd.st, w, 0, nd.index[s:e], nd.shadow)
+			sched = appendRun(sched, run)
+		}
+	}
+	nd.schedBuf = sched
+	return sched, nil
+}
+
 // selectLocal picks this round's activations from the shard's enabled
-// vertices: all of them under the synchronous policy, an independent
-// p-coin each under the distributed policy — with the lowest enabled
-// vertex as fallback, so a node with work always contributes at least
-// one activation and the ring-wide union is nonempty whenever any guard
-// is enabled (a valid unfair-daemon schedule either way).
-func (nd *Node) selectLocal() (sel []int, rules []sim.Rule, enabled int) {
-	sel, rules = nd.selBuf[:0], nd.ruleBuf[:0]
-	firstV, firstRule := -1, sim.NoRule
+// vertices, as maximal runs: all of them under the synchronous policy,
+// an independent p-coin each under the distributed policy — with the
+// lowest enabled vertex as fallback, so a node with work always
+// contributes at least one activation and the ring-wide union is
+// nonempty whenever any guard is enabled (a valid unfair-daemon
+// schedule either way). A selected vertex is enabled, so a run's rules
+// are the matching stretch of nd.rules.
+func (nd *Node) selectLocal() (runs []SelRun, enabled int) {
+	runs = nd.runBuf[:0]
+	firstV := -1
 	for i, v := range nd.shardVs {
-		rl := nd.rules[i]
-		if rl == sim.NoRule {
+		if nd.rules[i] == sim.NoRule {
 			continue
 		}
 		enabled++
 		if firstV < 0 {
-			firstV, firstRule = v, rl
+			firstV = v
 		}
 		if !nd.policyDist || nd.rng.Float64() < nd.p {
-			sel = append(sel, v)
-			rules = append(rules, rl)
+			runs = appendRun(runs, SelRun{Start: uint32(v), N: 1})
 		}
 	}
-	if nd.policyDist && len(sel) == 0 && firstV >= 0 {
-		sel = append(sel, firstV)
-		rules = append(rules, firstRule)
+	if nd.policyDist && len(runs) == 0 && firstV >= 0 {
+		runs = append(runs, SelRun{Start: uint32(firstV), N: 1})
 	}
-	nd.selBuf, nd.ruleBuf = sel, rules
-	return sel, rules, enabled
+	nd.runBuf = runs
+	return runs, enabled
 }
 
 // collectRound takes peer j's round-r frame from its receive pump,
