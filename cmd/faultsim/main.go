@@ -120,11 +120,12 @@ func run(args []string, out io.Writer) error {
 	allOK := true
 	for i, rec := range recs {
 		okStr := "ok"
-		if !rec.Recovered || rec.ViolationAfterLegit {
+		recovered := rec.FirstLegitStep >= 0
+		if !recovered || rec.ClosureBroken {
 			okStr = "FAILED"
 			allOK = false
 		}
-		table.AddRow(i+1, rec.Recovered, rec.StepsToLegit, rec.MovesToLegit, rec.SafetyViolations, okStr)
+		table.AddRow(i+1, recovered, rec.FirstLegitStep, rec.FirstLegitMoves, rec.Violations, okStr)
 	}
 	fmt.Fprintln(out, table)
 	if allOK {

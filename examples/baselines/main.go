@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	e := sim.MustEngine[int](dij, daemon.NewMaxIDCentral[int](), dij.WorstConfig(), 1)
-	rep, err := sim.MeasureConvergence(e, dij.UnfairHorizonMoves(), dij.SafeME, dij.Legitimate)
+	rep, err := sim.MeasureConvergence(e, dij.UnfairHorizonMoves(), -1, dij.SafeME, dij.Legitimate)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func main() {
 		rep.FirstLegitMoves, (n/2-1)*(n/2-1))
 
 	eSync := sim.MustEngine[int](dij, daemon.NewSynchronous[int](), dij.WorstConfig(), 1)
-	repSync, err := sim.MeasureConvergence(eSync, dij.SyncHorizon(), dij.SafeME, dij.Legitimate)
+	repSync, err := sim.MeasureConvergence(eSync, dij.SyncHorizon(), -1, dij.SafeME, dij.Legitimate)
 	if err != nil {
 		log.Fatal(err)
 	}

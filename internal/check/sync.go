@@ -82,7 +82,7 @@ func SyncWorst[S comparable](p sim.Protocol[S], opt SyncOptions[S]) (SyncReport[
 		if err != nil {
 			return rep, err
 		}
-		run, err := sim.MeasureConvergence(e, opt.Horizon, opt.Safe, opt.Legit)
+		run, err := sim.MeasureConvergence(e, opt.Horizon, -1, opt.Safe, opt.Legit)
 		if err != nil {
 			return rep, err
 		}

@@ -24,7 +24,7 @@ func (p *Protocol) MeasureSync(initial sim.Config[int]) (sim.RunReport, error) {
 		return sim.RunReport{}, err
 	}
 	horizon := p.ServiceWindow()
-	return sim.MeasureConvergence(e, horizon, p.SafeME, p.Legitimate)
+	return sim.MeasureConvergence(e, horizon, -1, p.SafeME, p.Legitimate)
 }
 
 // MeasureUnder runs one execution under an arbitrary daemon for the given
@@ -34,7 +34,7 @@ func (p *Protocol) MeasureUnder(d sim.Daemon[int], initial sim.Config[int], seed
 	if err != nil {
 		return sim.RunReport{}, err
 	}
-	return sim.MeasureConvergence(e, horizon, p.SafeME, p.Legitimate)
+	return sim.MeasureConvergence(e, horizon, -1, p.SafeME, p.Legitimate)
 }
 
 // ServiceReport summarizes critical-section service over a measured window

@@ -108,7 +108,7 @@ func TestConvergenceUnderManyDaemons(t *testing.T) {
 		for _, d := range daemons {
 			for trial := 0; trial < 5; trial++ {
 				e := sim.MustEngine[int](p, d, sim.RandomConfig[int](p, rng), int64(trial))
-				rep, err := sim.MeasureConvergence(e, p.UnfairHorizonMoves(), p.SafeME, p.Legitimate)
+				rep, err := sim.MeasureConvergence(e, p.UnfairHorizonMoves(), -1, p.SafeME, p.Legitimate)
 				if err != nil {
 					t.Fatalf("n=%d %s: %v", n, d.Name(), err)
 				}
@@ -135,7 +135,7 @@ func TestSynchronousStabilizationLinear(t *testing.T) {
 		worst := 0
 		for trial := 0; trial < 100; trial++ {
 			e := sim.MustEngine[int](p, daemon.NewSynchronous[int](), sim.RandomConfig[int](p, rng), 1)
-			rep, err := sim.MeasureConvergence(e, p.SyncHorizon(), p.SafeME, p.Legitimate)
+			rep, err := sim.MeasureConvergence(e, p.SyncHorizon(), -1, p.SafeME, p.Legitimate)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestWorstConfigSyncExactlyN(t *testing.T) {
 	for _, n := range []int{8, 12, 16} {
 		p := MustNew(n, n)
 		e := sim.MustEngine[int](p, daemon.NewSynchronous[int](), p.WorstConfig(), 1)
-		rep, err := sim.MeasureConvergence(e, p.SyncHorizon(), p.SafeME, p.Legitimate)
+		rep, err := sim.MeasureConvergence(e, p.SyncHorizon(), -1, p.SafeME, p.Legitimate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestMoveComplexityQuadraticWorstCase(t *testing.T) {
 	measure := func(n int) int {
 		p := MustNew(n, n)
 		e := sim.MustEngine[int](p, daemon.NewMaxIDCentral[int](), p.WorstConfig(), 1)
-		rep, err := sim.MeasureConvergence(e, p.UnfairHorizonMoves(), p.SafeME, p.Legitimate)
+		rep, err := sim.MeasureConvergence(e, p.UnfairHorizonMoves(), -1, p.SafeME, p.Legitimate)
 		if err != nil {
 			t.Fatal(err)
 		}

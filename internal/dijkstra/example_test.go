@@ -33,7 +33,7 @@ func Example() {
 func ExampleProtocol_WorstConfig() {
 	p := dijkstra.MustNew(12, 12)
 	e := sim.MustEngine[int](p, daemon.NewMaxIDCentral[int](), p.WorstConfig(), 1)
-	rep, err := sim.MeasureConvergence(e, p.UnfairHorizonMoves(), p.SafeME, p.Legitimate)
+	rep, err := sim.MeasureConvergence(e, p.UnfairHorizonMoves(), -1, p.SafeME, p.Legitimate)
 	if err != nil {
 		fmt.Println(err)
 		return

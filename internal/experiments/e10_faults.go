@@ -63,7 +63,7 @@ func E10FaultStorm(cfg RunConfig) ([]*stats.Table, error) {
 
 	err := campaign.Sweep(cfg.pool(), cells,
 		func(cell) int { return trials },
-		func(c cell, trial int) ([]faults.Recovery, error) {
+		func(c cell, trial int) ([]sim.RunReport, error) {
 			scenario := faults.Scenario[int]{
 				Protocol:     c.p,
 				NewDaemon:    c.mk,
@@ -79,7 +79,7 @@ func E10FaultStorm(cfg RunConfig) ([]*stats.Table, error) {
 			}
 			return recs, nil
 		},
-		func(c cell, trialRecs [][]faults.Recovery) error {
+		func(c cell, trialRecs [][]sim.RunReport) error {
 			recovered := 0
 			total := 0
 			worstSteps, worstMoves := 0, 0
@@ -87,14 +87,14 @@ func E10FaultStorm(cfg RunConfig) ([]*stats.Table, error) {
 			for _, recs := range trialRecs {
 				for _, rec := range recs {
 					total++
-					if rec.Recovered {
+					if rec.FirstLegitStep >= 0 {
 						recovered++
 					}
-					if rec.ViolationAfterLegit {
+					if rec.ClosureBroken {
 						closureOK = false
 					}
-					worstSteps = maxInt(worstSteps, rec.StepsToLegit)
-					worstMoves = maxInt(worstMoves, rec.MovesToLegit)
+					worstSteps = max(worstSteps, rec.FirstLegitStep)
+					worstMoves = max(worstMoves, rec.FirstLegitMoves)
 				}
 			}
 			table.AddRow(c.gname, c.dname, total,

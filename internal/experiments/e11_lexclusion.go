@@ -62,22 +62,20 @@ func E11LExclusion(cfg RunConfig) ([]*stats.Table, error) {
 
 	err := campaign.Sweep(cfg.pool(), cells,
 		func(cell) int { return trials },
-		func(c cell, t int) (runOutcome, error) {
+		func(c cell, t int) (sim.RunReport, error) {
 			e, err := newEngine[int](cfg, c.p, daemon.NewSynchronous[int](), c.initials[t], 1)
 			if err != nil {
-				return runOutcome{}, err
+				return sim.RunReport{}, err
 			}
-			return measureRun(e, c.p.ServiceWindow(), c.p.Clock().K, c.p.SafeLX, c.p.Legitimate)
+			return sim.MeasureConvergence(e, c.p.ServiceWindow(), c.p.Clock().K, c.p.SafeLX, c.p.Legitimate)
 		},
-		func(c cell, outs []runOutcome) error {
+		func(c cell, outs []sim.RunReport) error {
 			worstConc := 0
 			worstConv := 0
 			closureOK := true
 			for _, out := range outs {
-				closureOK = closureOK && out.closureOK && out.legitReached
-				if out.convSteps > worstConv {
-					worstConv = out.convSteps
-				}
+				closureOK = closureOK && !out.ClosureBroken && out.FirstLegitStep >= 0
+				worstConv = max(worstConv, out.ConvergenceSteps)
 			}
 
 			// Concurrency realization and service coverage from a

@@ -231,11 +231,11 @@ func e13CurvesTable(cfg RunConfig) (*stats.Table, error) {
 					if rec.Resumed {
 						resumed++
 					}
-					worstStall = maxInt(worstStall, rec.StallTicks)
+					worstStall = max(worstStall, rec.StallTicks)
 					if rec.LegitTicks < 0 {
 						legitKnown = false
 					} else {
-						worstLegit = maxInt(worstLegit, rec.LegitTicks)
+						worstLegit = max(worstLegit, rec.LegitTicks)
 					}
 					if rec.UnsafeTicks > worstUnsafe {
 						worstUnsafe = rec.UnsafeTicks
@@ -346,8 +346,8 @@ func e13SpeculationTable(cfg RunConfig) (*stats.Table, error) {
 		func(c e13bCell, outs []dpoint) error {
 			worst := dpoint{}
 			for _, o := range outs {
-				worst.stall = maxInt(worst.stall, o.stall)
-				worst.legit = maxInt(worst.legit, o.legit)
+				worst.stall = max(worst.stall, o.stall)
+				worst.legit = max(worst.legit, o.legit)
 			}
 			if !c.cd {
 				sd = worst
@@ -357,7 +357,7 @@ func e13SpeculationTable(cfg RunConfig) (*stats.Table, error) {
 			weak = append(weak, service.ServicePoint{Size: c.n, Stall: float64(sd.stall), Legit: float64(sd.legit)})
 			strong = append(strong, service.ServicePoint{Size: c.n, Stall: float64(cd.stall), Legit: float64(cd.legit)})
 			table.AddRow(c.n, sd.stall, sd.legit, cd.stall, cd.legit,
-				fmt.Sprintf("%.1f", float64(cd.stall)/float64(maxInt(sd.stall, 1))))
+				fmt.Sprintf("%.1f", float64(cd.stall)/float64(max(sd.stall, 1))))
 			return nil
 		})
 	if err != nil {

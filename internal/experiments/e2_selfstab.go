@@ -61,27 +61,27 @@ func E2SelfStabilization(cfg RunConfig) ([]*stats.Table, error) {
 
 	err := campaign.Sweep(cfg.pool(), cells,
 		func(cell) int { return trials },
-		func(c cell, t int) (runOutcome, error) {
+		func(c cell, t int) (sim.RunReport, error) {
 			e, err := newEngine[int](cfg, c.p, c.mk(), c.initials[t], int64(t+1))
 			if err != nil {
-				return runOutcome{}, err
+				return sim.RunReport{}, err
 			}
-			return measureRun(e, c.horizon, c.p.Clock().K, c.p.SafeME, c.p.Legitimate)
+			return sim.MeasureConvergence(e, c.horizon, c.p.Clock().K, c.p.SafeME, c.p.Legitimate)
 		},
-		func(c cell, outs []runOutcome) error {
-			var worst runOutcome
+		func(c cell, outs []sim.RunReport) error {
+			var worst sim.RunReport
 			closureOK := true
 			allLegit := true
 			for _, out := range outs {
-				closureOK = closureOK && out.closureOK
-				allLegit = allLegit && out.legitReached
-				if out.convSteps > worst.convSteps {
-					worst.convSteps = out.convSteps
-					worst.convMoves = out.convMoves
+				closureOK = closureOK && !out.ClosureBroken
+				allLegit = allLegit && out.FirstLegitStep >= 0
+				if out.ConvergenceSteps > worst.ConvergenceSteps {
+					worst.ConvergenceSteps = out.ConvergenceSteps
+					worst.ConvergenceMoves = out.ConvergenceMoves
 				}
-				if out.legitSteps > worst.legitSteps {
-					worst.legitSteps = out.legitSteps
-					worst.legitMoves = out.legitMoves
+				if out.FirstLegitStep > worst.FirstLegitStep {
+					worst.FirstLegitStep = out.FirstLegitStep
+					worst.FirstLegitMoves = out.FirstLegitMoves
 				}
 			}
 			// Liveness: from a legitimate start every vertex is served
@@ -106,7 +106,7 @@ func E2SelfStabilization(cfg RunConfig) ([]*stats.Table, error) {
 				liveness = fmt.Sprintf("served=%v concurrent=%d", svc.AllServed, svc.ConcurrentCS)
 			}
 			table.AddRow(c.p.Graph().Name(), c.name, trials,
-				worst.convSteps, worst.convMoves, worst.legitSteps, worst.legitMoves,
+				worst.ConvergenceSteps, worst.ConvergenceMoves, worst.FirstLegitStep, worst.FirstLegitMoves,
 				ok(closureOK && allLegit), liveness)
 			return nil
 		})

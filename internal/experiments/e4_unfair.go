@@ -74,30 +74,28 @@ func E4UnfairConvergence(cfg RunConfig) ([]*stats.Table, error) {
 	closureOK := true
 	err := campaign.Sweep(cfg.pool(), cells,
 		func(cell) int { return trials },
-		func(c cell, t int) (runOutcome, error) {
+		func(c cell, t int) (sim.RunReport, error) {
 			e, err := newEngine[int](cfg, c.p, c.mk(), c.initials[t], int64(t+1))
 			if err != nil {
-				return runOutcome{}, err
+				return sim.RunReport{}, err
 			}
-			return measureRun(e, c.bound, c.p.Clock().K, c.p.SafeME, c.p.Legitimate)
+			return sim.MeasureConvergence(e, c.bound, c.p.Clock().K, c.p.SafeME, c.p.Legitimate)
 		},
-		func(c cell, outs []runOutcome) error {
+		func(c cell, outs []sim.RunReport) error {
 			for _, out := range outs {
-				if !out.legitReached {
+				if out.FirstLegitStep < 0 {
 					table.AddNote("n=%d under %s: Γ₁ not reached within the Theorem 3 bound — VIOLATION", c.n, c.name)
 					closureOK = false
 					continue
 				}
-				closureOK = closureOK && out.closureOK
-				if out.legitMoves > worst {
-					worst = out.legitMoves
-				}
+				closureOK = closureOK && !out.ClosureBroken
+				worst = max(worst, out.FirstLegitMoves)
 			}
 			if c.last {
-				headroom := float64(c.bound) / float64(maxInt(worst, 1))
+				headroom := float64(c.bound) / float64(max(worst, 1))
 				table.AddRow(c.n, c.p.Graph().Diameter(), worst, c.bound, headroom, ok(closureOK))
 				xs = append(xs, float64(c.n))
-				ys = append(ys, float64(maxInt(worst, 1)))
+				ys = append(ys, float64(max(worst, 1)))
 				worst, closureOK = 0, true
 			}
 			return nil
@@ -110,11 +108,4 @@ func E4UnfairConvergence(cfg RunConfig) ([]*stats.Table, error) {
 			fit.Exponent, fit.R2)
 	}
 	return []*stats.Table{table}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

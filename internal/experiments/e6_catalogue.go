@@ -91,17 +91,17 @@ func e6Dijkstra(cfg RunConfig) (speculation.Certificate, error) {
 			return speculation.Certificate{}, err
 		}
 		e := mustNewEngine[int](cfg, p, daemon.NewMaxIDCentral[int](), p.WorstConfig(), 1)
-		out, err := measureRun(e, p.UnfairHorizonMoves(), n, p.SafeME, p.Legitimate)
+		out, err := sim.MeasureConvergence(e, p.UnfairHorizonMoves(), n, p.SafeME, p.Legitimate)
 		if err != nil {
 			return speculation.Certificate{}, err
 		}
-		strong = append(strong, speculation.CurvePoint{Size: n, Conv: float64(out.legitMoves)})
+		strong = append(strong, speculation.CurvePoint{Size: n, Conv: float64(out.FirstLegitMoves)})
 
 		worstSync := 0
 		rng := cfg.rng(int64(n))
 		for trial := 0; trial < cfg.pick(10, 40); trial++ {
 			e := mustNewEngine[int](cfg, p, daemon.NewSynchronous[int](), sim.RandomConfig[int](p, rng), 1)
-			rep, err := sim.MeasureConvergence(e, p.SyncHorizon(), p.SafeME, p.Legitimate)
+			rep, err := sim.MeasureConvergence(e, p.SyncHorizon(), -1, p.SafeME, p.Legitimate)
 			if err != nil {
 				return speculation.Certificate{}, err
 			}
@@ -239,13 +239,11 @@ func e6SSME(cfg RunConfig) (speculation.Certificate, error) {
 		for trial := 0; trial < cfg.pick(3, 6); trial++ {
 			e := mustNewEngine[int](cfg, p, daemon.NewGreedyCentral[int](p, p.DisorderPotential),
 				sim.RandomConfig[int](p, rng), int64(trial+1))
-			out, err := measureRun(e, p.UnfairBoundMoves(), p.Clock().K, p.SafeME, p.Legitimate)
+			out, err := sim.MeasureConvergence(e, p.UnfairBoundMoves(), p.Clock().K, p.SafeME, p.Legitimate)
 			if err != nil {
 				return speculation.Certificate{}, err
 			}
-			if out.legitMoves > worstMoves {
-				worstMoves = out.legitMoves
-			}
+			worstMoves = max(worstMoves, out.FirstLegitMoves)
 		}
 		strong = append(strong, speculation.CurvePoint{Size: n, Conv: float64(worstMoves)})
 

@@ -82,38 +82,34 @@ func E7Unison(cfg RunConfig) ([]*stats.Table, error) {
 
 	err := campaign.Sweep(cfg.pool(), cells,
 		func(c cell) int { return trials + len(c.udFactorys)*udTrials },
-		func(c cell, t int) (runOutcome, error) {
+		func(c cell, t int) (sim.RunReport, error) {
 			if t < trials {
 				e := mustNewEngine[int](cfg, c.u, daemon.NewSynchronous[int](), c.syncInit[t], 1)
-				return measureRun(e, c.syncBound, c.u.Clock().K, c.u.Legitimate, c.u.Legitimate)
+				return sim.MeasureConvergence(e, c.syncBound, c.u.Clock().K, c.u.Legitimate, c.u.Legitimate)
 			}
 			d := (t - trials) / udTrials
 			ut := (t - trials) % udTrials
 			e := mustNewEngine[int](cfg, c.u, c.udFactorys[d](), c.udInit[d][ut], int64(ut+1))
-			return measureRun(e, c.udBound, c.u.Clock().K, c.u.Legitimate, c.u.Legitimate)
+			return sim.MeasureConvergence(e, c.udBound, c.u.Clock().K, c.u.Legitimate, c.u.Legitimate)
 		},
-		func(c cell, outs []runOutcome) error {
+		func(c cell, outs []sim.RunReport) error {
 			worstSync := 0
 			for _, out := range outs[:trials] {
-				if !out.legitReached {
+				if out.FirstLegitStep < 0 {
 					worstSync = c.syncBound + 1 // visible violation
 					break
 				}
-				if out.legitSteps > worstSync {
-					worstSync = out.legitSteps
-				}
+				worstSync = max(worstSync, out.FirstLegitStep)
 			}
 			worstMoves := 0
 			for d := range c.udFactorys {
 				group := outs[trials+d*udTrials : trials+(d+1)*udTrials]
 				for _, out := range group {
-					if !out.legitReached {
+					if out.FirstLegitStep < 0 {
 						worstMoves = c.udBound + 1
 						break
 					}
-					if out.legitMoves > worstMoves {
-						worstMoves = out.legitMoves
-					}
+					worstMoves = max(worstMoves, out.FirstLegitMoves)
 				}
 			}
 			table.AddRow(c.gname, c.pname, worstSync, c.syncBound, worstMoves, c.udBound,

@@ -112,9 +112,9 @@ func E9DaemonSpectrum(cfg RunConfig) ([]*stats.Table, error) {
 					table.AddNote("n=%d under %s: Γ₁ not reached — VIOLATED", c.n, c.name)
 					continue
 				}
-				worstSteps = maxInt(worstSteps, out.steps)
-				worstMoves = maxInt(worstMoves, out.moves)
-				worstRounds = maxInt(worstRounds, out.rounds)
+				worstSteps = max(worstSteps, out.steps)
+				worstMoves = max(worstMoves, out.moves)
+				worstRounds = max(worstRounds, out.rounds)
 			}
 			table.AddRow(c.n, c.name, worstSteps, worstMoves, worstRounds)
 			curves[c.key] = append(curves[c.key], speculation.CurvePoint{Size: c.n, Conv: float64(worstSteps)})

@@ -27,23 +27,6 @@ type Burst struct {
 	CorruptVertices int
 }
 
-// Recovery reports the re-stabilization that followed one burst.
-type Recovery struct {
-	// Recovered is true when the legitimacy predicate held again within
-	// the horizon.
-	Recovered bool
-	// StepsToLegit and MovesToLegit count from the burst to re-entry.
-	StepsToLegit int
-	MovesToLegit int
-	// SafetyViolations counts configurations violating the safety
-	// predicate during recovery (the window self-stabilization cannot
-	// protect; it must be 0 from re-entry on).
-	SafetyViolations int
-	// ViolationAfterLegit reports a safety violation after re-entry —
-	// a closure failure, which must never happen.
-	ViolationAfterLegit bool
-}
-
 // Scenario runs a fault-injection campaign.
 type Scenario[S comparable] struct {
 	// Protocol and NewDaemon build the system; a fresh daemon is used for
@@ -55,7 +38,8 @@ type Scenario[S comparable] struct {
 	// predicate (optional, defaults to Legit).
 	Legit func(sim.Config[S]) bool
 	Safe  func(sim.Config[S]) bool
-	// HorizonSteps bounds each recovery phase.
+	// HorizonSteps bounds each recovery phase's wait for re-entry; the
+	// confirmation tail after re-entry may run past it.
 	HorizonSteps int
 	// Engine selects the execution backend and shard workers of the
 	// recovery engines (zero value = automatic backend). Campaigns are
@@ -66,7 +50,14 @@ type Scenario[S comparable] struct {
 // Run starts from initial, lets the system stabilize once, then applies
 // each burst in turn, measuring every recovery. All randomness (burst
 // targets, corrupted values, daemon choices) derives from seed.
-func (s Scenario[S]) Run(initial sim.Config[S], bursts []Burst, seed int64) ([]Recovery, error) {
+//
+// Each report counts from the burst: FirstLegitStep and FirstLegitMoves
+// measure re-entry into the legitimacy set (−1 steps when it was not
+// re-entered within HorizonSteps), Violations counts the configurations
+// violating the safety predicate during recovery (the window
+// self-stabilization cannot protect), and ClosureBroken reports a
+// violation after re-entry, which must never happen.
+func (s Scenario[S]) Run(initial sim.Config[S], bursts []Burst, seed int64) ([]sim.RunReport, error) {
 	if s.Protocol == nil || s.NewDaemon == nil || s.Legit == nil {
 		return nil, errors.New("faults: Protocol, NewDaemon and Legit are required")
 	}
@@ -80,7 +71,7 @@ func (s Scenario[S]) Run(initial sim.Config[S], bursts []Burst, seed int64) ([]R
 		return nil, err
 	}
 
-	recoveries := make([]Recovery, 0, len(bursts))
+	recoveries := make([]sim.RunReport, 0, len(bursts))
 	for i, b := range bursts {
 		// Quiet period before the burst.
 		e, err := scenario.NewEngine(s.Engine, s.Protocol, s.NewDaemon(), cfg, rng.Int63())
@@ -106,48 +97,24 @@ func (s Scenario[S]) Run(initial sim.Config[S], bursts []Burst, seed int64) ([]R
 	return recoveries, nil
 }
 
-// recover runs one recovery phase and scores it.
-func (s Scenario[S]) recover(cfg sim.Config[S], rng *rand.Rand) (sim.Config[S], Recovery, error) {
+// recover runs one recovery phase and scores it: a fresh engine from cfg,
+// measured until confirmTail steps past re-entry into the legitimacy set
+// (or HorizonSteps without re-entry). It returns the configuration the
+// phase ended in.
+func (s Scenario[S]) recover(cfg sim.Config[S], rng *rand.Rand) (sim.Config[S], sim.RunReport, error) {
 	safe := s.Safe
 	if safe == nil {
 		safe = s.Legit
 	}
 	e, err := scenario.NewEngine(s.Engine, s.Protocol, s.NewDaemon(), cfg, rng.Int63())
 	if err != nil {
-		return nil, Recovery{}, err
+		return nil, sim.RunReport{}, err
 	}
-	rec := Recovery{}
-	legitAt := -1
-	inspect := func(step int) {
-		c := e.Current()
-		if legitAt < 0 && s.Legit(c) {
-			legitAt = step
-			rec.Recovered = true
-			rec.StepsToLegit = step
-			rec.MovesToLegit = e.Moves()
-		}
-		if !safe(c) {
-			rec.SafetyViolations++
-			if legitAt >= 0 {
-				rec.ViolationAfterLegit = true
-			}
-		}
+	rep, err := sim.MeasureConvergence(e, s.HorizonSteps, confirmTail, safe, s.Legit)
+	if err != nil {
+		return nil, rep, err
 	}
-	inspect(0)
-	for step := 1; step <= s.HorizonSteps; step++ {
-		progressed, err := e.Step()
-		if err != nil {
-			return nil, rec, err
-		}
-		if !progressed {
-			break
-		}
-		inspect(step)
-		if legitAt >= 0 && step >= legitAt+confirmTail {
-			break
-		}
-	}
-	return e.Snapshot(), rec, nil
+	return e.Snapshot(), rep, nil
 }
 
 // confirmTail is how many steps past re-entry each recovery keeps

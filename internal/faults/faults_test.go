@@ -72,15 +72,15 @@ func TestSSMERecoversFromRepeatedBursts(t *testing.T) {
 			t.Fatalf("%s: %d recoveries for %d bursts", g.Name(), len(recs), len(bursts))
 		}
 		for i, rec := range recs {
-			if !rec.Recovered {
+			if rec.FirstLegitStep < 0 {
 				t.Errorf("%s burst %d: did not re-stabilize", g.Name(), i)
 			}
-			if rec.ViolationAfterLegit {
+			if rec.ClosureBroken {
 				t.Errorf("%s burst %d: closure broken after recovery", g.Name(), i)
 			}
-			if rec.StepsToLegit > p.SyncUnisonHorizon() {
+			if rec.FirstLegitStep > p.SyncUnisonHorizon() {
 				t.Errorf("%s burst %d: recovery took %d steps > 2n+diam = %d",
-					g.Name(), i, rec.StepsToLegit, p.SyncUnisonHorizon())
+					g.Name(), i, rec.FirstLegitStep, p.SyncUnisonHorizon())
 			}
 		}
 	}
@@ -106,8 +106,8 @@ func TestRecoveryUnderUnfairDaemons(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rec := range recs {
-		if !rec.Recovered || rec.ViolationAfterLegit {
-			t.Errorf("burst %d: recovered=%v closureBroken=%v", i, rec.Recovered, rec.ViolationAfterLegit)
+		if rec.FirstLegitStep < 0 || rec.ClosureBroken {
+			t.Errorf("burst %d: re-entry step=%d closureBroken=%v", i, rec.FirstLegitStep, rec.ClosureBroken)
 		}
 	}
 }
@@ -127,7 +127,7 @@ func TestDijkstraRecoversToo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !recs[0].Recovered {
+	if recs[0].FirstLegitStep < 0 {
 		t.Error("Dijkstra did not recover from a full corruption")
 	}
 }

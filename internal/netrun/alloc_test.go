@@ -127,7 +127,7 @@ func TestFramePoolSharedAcrossPumps(t *testing.T) {
 			errA = err
 			accepted <- c
 		}()
-		c, err := dialPeer(ln.Addr().String(), 1, defaultDialBackoff, defaultIOTimeout)
+		c, err := dialPeer(ln.Addr().String(), defaultIOTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}

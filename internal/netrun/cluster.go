@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"specstab/internal/telemetry"
 )
@@ -31,10 +30,6 @@ type ClusterConfig struct {
 	Hub *telemetry.Hub
 	// MaxRounds bounds every node's round loop (0 = run until drained).
 	MaxRounds int64
-	// IOTimeout, RecvRetries and Pace pass through to each node.
-	IOTimeout   time.Duration
-	RecvRetries int
-	Pace        time.Duration
 }
 
 // Cluster is a running in-process ring.
@@ -54,13 +49,10 @@ func StartCluster(cc ClusterConfig) (*Cluster, error) {
 	c := &Cluster{nodes: make([]*Node, spec.Nodes), errs: make([]error, spec.Nodes)}
 	for i := 0; i < spec.Nodes; i++ {
 		cfg := Config{
-			ID:          i,
-			Spec:        spec,
-			ListenPeer:  "127.0.0.1:0",
-			IOTimeout:   cc.IOTimeout,
-			RecvRetries: cc.RecvRetries,
-			Pace:        cc.Pace,
-			Hub:         cc.Hub,
+			ID:         i,
+			Spec:       spec,
+			ListenPeer: "127.0.0.1:0",
+			Hub:        cc.Hub,
 		}
 		if cc.HTTP {
 			cfg.ListenClient = "127.0.0.1:0"

@@ -48,10 +48,6 @@ type Config struct {
 	Hub *telemetry.Hub
 	// IOTimeout overrides the per-frame read/write deadline (0 = 2s).
 	IOTimeout time.Duration
-	// DialRetries and DialBackoff bound connection establishment
-	// (0 = 40 tries, 25ms linear backoff).
-	DialRetries int
-	DialBackoff time.Duration
 	// RecvRetries is how many consecutive receive timeouts the barrier
 	// tolerates per peer per round before abandoning the run (0 = 5).
 	// Until then a slow peer holds the round — it is never committed
@@ -246,16 +242,9 @@ func (nd *Node) Connect() error {
 	if timeout <= 0 {
 		timeout = defaultIOTimeout
 	}
-	retries, backoff := nd.cfg.DialRetries, nd.cfg.DialBackoff
-	if retries <= 0 {
-		retries = defaultDialRetries
-	}
-	if backoff <= 0 {
-		backoff = defaultDialBackoff
-	}
 	// The accept patience matches the worst-case dial budget of the
 	// slowest-starting peer.
-	patience := time.Duration(retries)*(time.Duration(retries+1)/2)*backoff + time.Duration(retries+1)*timeout
+	patience := dialRetries*((dialRetries+1)/2)*dialBackoff + (dialRetries+1)*timeout
 	hello := Hello{Node: uint32(nd.id), Nodes: uint32(nd.nodes), SpecHash: nd.spec.hash()}
 	ours := acquireWire()
 	defer ours.release()
@@ -265,7 +254,7 @@ func (nd *Node) Connect() error {
 		return err
 	}
 	for j := 0; j < nd.id; j++ {
-		c, err := dialPeer(nd.peerAddrs[j], retries, backoff, timeout)
+		c, err := dialPeer(nd.peerAddrs[j], timeout)
 		if err != nil {
 			nd.closePeers()
 			return err

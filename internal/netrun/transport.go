@@ -21,13 +21,14 @@ import (
 	"time"
 )
 
-// Transport defaults, overridable per node (Config). The IO timeout is
-// the barrier's patience quantum: a Recv that exceeds it counts one
-// stall, and RecvRetries stalls abandon the round.
+// Transport constants. The IO timeout (overridable per node, Config) is
+// the barrier's patience quantum: a wait for a peer's round frame that
+// exceeds it counts one stall, and RecvRetries stalls abandon the round.
+// Dialing retries dialRetries times with linearly growing dialBackoff.
 const (
-	defaultIOTimeout   = 2 * time.Second
-	defaultDialRetries = 40
-	defaultDialBackoff = 25 * time.Millisecond
+	defaultIOTimeout = 2 * time.Second
+	dialRetries      = 40
+	dialBackoff      = 25 * time.Millisecond
 	// sendDepth is the write pump's queue depth; the round loop enqueues
 	// at most one frame per peer per round, so depth covers transient
 	// receiver lag without unbounded buffering.
@@ -273,22 +274,17 @@ func (c *Conn) Send(w *wireBuf) error {
 	}
 }
 
-// Recv reads one frame payload, waiting at most the IO timeout. Timeout
-// errors satisfy net.Error.Timeout() — the barrier retries those as
-// stalls; any other error is a dead or corrupt peer. The returned slice
-// aliases the connection's reusable receive buffer and is valid only
-// until the next Recv on this connection.
-func (c *Conn) Recv() ([]byte, error) { return c.recvWithin(c.timeout) }
-
-// RecvPatient reads one frame with an explicit patience window — the
-// handshake path, where a peer that has connected may still be dialing
-// the rest of the mesh before it answers hellos.
+// RecvPatient reads one frame payload with an explicit patience window —
+// the handshake path, where a peer that has connected may still be
+// dialing the rest of the mesh before it answers hellos. The returned
+// slice aliases the connection's reusable receive buffer and is valid
+// only until the next receive on this connection.
 func (c *Conn) RecvPatient(d time.Duration) ([]byte, error) { return c.recvWithin(d) }
 
 // RecvBlocking reads one frame with no read deadline: the receive pump
 // parks here between frames, and stall patience is the barrier's job
 // (a stalled peer leaves the pump blocked; Close unblocks it through
-// the socket). Same aliasing rule as Recv.
+// the socket). Same aliasing rule as RecvPatient.
 func (c *Conn) RecvBlocking() ([]byte, error) { return c.recvWithin(0) }
 
 func (c *Conn) recvWithin(d time.Duration) ([]byte, error) {
@@ -326,13 +322,6 @@ func (c *Conn) recvWithin(d time.Duration) ([]byte, error) {
 	return payload, nil
 }
 
-// isTimeout reports whether err is a read deadline expiring — the one
-// error class the barrier treats as "slow", not "gone".
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
 // Close shuts the connection down. Safe to call more than once; the
 // round loop is the only Sender, so closing the queue here cannot race a
 // concurrent Send after closed is set.
@@ -353,20 +342,14 @@ func (c *Conn) Close() error {
 }
 
 // dialPeer establishes a framed connection to addr, retrying up to
-// retries times with linearly growing backoff — enough patience for a
+// dialRetries times with linearly growing backoff — enough patience for a
 // peer process that is still binding its listener, bounded enough that a
 // never-starting peer fails the run instead of hanging it.
-func dialPeer(addr string, retries int, backoff, timeout time.Duration) (*Conn, error) {
-	if retries <= 0 {
-		retries = defaultDialRetries
-	}
-	if backoff <= 0 {
-		backoff = defaultDialBackoff
-	}
+func dialPeer(addr string, timeout time.Duration) (*Conn, error) {
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= dialRetries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * backoff)
+			time.Sleep(time.Duration(attempt) * dialBackoff)
 		}
 		nc, err := net.DialTimeout("tcp", addr, timeout)
 		if err == nil {
@@ -374,7 +357,7 @@ func dialPeer(addr string, retries int, backoff, timeout time.Duration) (*Conn, 
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("netrun: dialing %s: gave up after %d attempts: %w", addr, retries+1, lastErr)
+	return nil, fmt.Errorf("netrun: dialing %s: gave up after %d attempts: %w", addr, dialRetries+1, lastErr)
 }
 
 // acceptPeer waits for one inbound connection, bounded by deadline

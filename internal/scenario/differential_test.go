@@ -179,3 +179,57 @@ func TestScenarioBackendsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestConvergenceObserverMatchesMeasure checks the convergence observer
+// against sim.MeasureConvergence: the same seeded run, scored once from the
+// engine's step hook and once by the run loop, must give the same report.
+func TestConvergenceObserverMatchesMeasure(t *testing.T) {
+	t.Parallel()
+	type predicates interface {
+		SafeME(sim.Config[int]) bool
+		Legitimate(sim.Config[int]) bool
+	}
+	violations := 0
+	for _, proto := range []string{"ssme", "dijkstra"} {
+		for _, dn := range []string{"sync", "distributed"} {
+			build := func(observers ...scenario.ObserverSpec) *scenario.Run {
+				run, err := scenario.Build(&scenario.Scenario{
+					Seed:      4,
+					Protocol:  scenario.ProtocolSpec{Name: proto},
+					Topology:  scenario.TopologySpec{Name: "ring", N: 10},
+					Daemon:    scenario.DaemonSpec{Name: dn, P: 0.5},
+					Init:      scenario.InitSpec{Mode: "random"},
+					Stop:      scenario.StopSpec{Steps: 300},
+					Observers: observers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return run
+			}
+
+			observed := build(scenario.ObserverSpec{Name: "convergence"})
+			if err := observed.Execute(); err != nil {
+				t.Fatal(err)
+			}
+			got := observed.Observer("convergence").(*scenario.Convergence).RunReport()
+
+			plain := build()
+			p := plain.Protocol().(predicates)
+			want, err := sim.MeasureConvergence(plain.Engine().(*sim.Engine[int]), plain.Horizon(), -1, p.SafeME, p.Legitimate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s/%s: observer %+v, MeasureConvergence %+v", proto, dn, got, want)
+			}
+			if want.FirstLegitStep <= 0 {
+				t.Errorf("%s/%s: the random start is already legitimate (%+v); the case checks nothing", proto, dn, want)
+			}
+			violations += want.Violations
+		}
+	}
+	if violations == 0 {
+		t.Error("no case scored a safety violation; the reports' violation fields went unchecked")
+	}
+}

@@ -92,11 +92,10 @@ func attachObservers[S comparable](r *Run, sc *Scenario, p sim.Protocol[S], eng 
 // Convergence scores an execution against the protocol's safety and
 // legitimacy predicates — sim.MeasureConvergence recast as a pipeline
 // observer, so it can ride along with traces and service metrics instead
-// of owning the run loop.
+// of owning the run loop. Both feed the same sim.RunReport.Observe.
 type Convergence struct {
-	rep       sim.RunReport
-	legitSeen bool
-	r         *Run
+	rep sim.RunReport
+	r   *Run
 }
 
 func newConvergence(r *Run) (*Convergence, error) {
@@ -104,36 +103,26 @@ func newConvergence(r *Run) (*Convergence, error) {
 		return nil, fmt.Errorf("observer %q needs a protocol with a safety or legitimacy predicate, %q has neither",
 			"convergence", r.sc.Protocol.Name)
 	}
-	c := &Convergence{r: r}
-	c.rep.LastViolationStep = -1
-	c.rep.FirstLegitStep = -1
+	c := &Convergence{r: r, rep: sim.RunReport{LastViolationStep: -1, FirstLegitStep: -1}}
 	c.inspect(0)
 	r.eng.AddHook(func(info sim.StepInfo) { c.inspect(info.Step) })
 	return c, nil
 }
 
-// inspect scores the current (post-step) configuration, exactly as
-// sim.MeasureConvergence scores it: hooks run after the commit, so the
-// engine's live configuration is configuration index stepIdx.
+// inspect scores the current (post-step) configuration: hooks run after
+// the commit, so the engine's live configuration is configuration index
+// stepIdx. A missing safety predicate never reports a violation; the
+// legitimacy predicate is evaluated only until the first entry.
 func (c *Convergence) inspect(stepIdx int) {
-	if c.r.probes.Legitimate != nil && !c.legitSeen && c.r.probes.Legitimate() {
-		c.legitSeen = true
-		c.rep.FirstLegitStep = stepIdx
-		c.rep.FirstLegitMoves = c.r.eng.Moves()
-	}
-	if c.r.probes.Safe != nil && !c.r.probes.Safe() {
-		c.rep.LastViolationStep = stepIdx
-		c.rep.ConvergenceMoves = c.r.eng.Moves()
-		if c.legitSeen {
-			c.rep.ClosureBroken = true
-		}
-	}
+	pr := c.r.probes
+	safe := pr.Safe == nil || pr.Safe()
+	legit := pr.Legitimate != nil && c.rep.FirstLegitStep < 0 && pr.Legitimate()
+	c.rep.Observe(stepIdx, c.r.eng.Moves(), safe, legit)
 }
 
 func (c *Convergence) finish(r *Run) {
 	c.rep.StepsExecuted = r.eng.Steps()
 	c.rep.MovesExecuted = r.eng.Moves()
-	c.rep.ConvergenceSteps = c.rep.LastViolationStep + 1
 	c.rep.Terminal = r.terminal
 }
 

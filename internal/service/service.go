@@ -213,7 +213,7 @@ func New(lock Lock, d sim.Daemon[int], initial sim.Config[int], seed int64, wl W
 		s.holdWl = ht
 	}
 	if l := sim.LocalOf[int](lock); l != nil {
-		s.influence = influenceSets(n, l)
+		s.influence = sim.InfluenceSets(n, l)
 		s.dirtyMark = make([]bool, n)
 	}
 	s.rescanPriv()
@@ -466,33 +466,4 @@ func insertionSort(xs []int) {
 		}
 		xs[j+1] = x
 	}
-}
-
-// influenceSets inverts the read-set relation of l (the engine's own
-// construction, applied to the privilege predicate): out[v] lists v plus
-// every u with v ∈ l.Neighbors(u), sorted and deduplicated.
-func influenceSets(n int, l sim.Local) [][]int {
-	out := make([][]int, n)
-	for v := 0; v < n; v++ {
-		out[v] = append(out[v], v)
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range l.Neighbors(u) {
-			if v != u {
-				out[v] = append(out[v], u)
-			}
-		}
-	}
-	for v := range out {
-		insertionSort(out[v])
-		w := 0
-		for i, x := range out[v] {
-			if i == 0 || x != out[v][w-1] {
-				out[v][w] = x
-				w++
-			}
-		}
-		out[v] = out[v][:w]
-	}
-	return out
 }

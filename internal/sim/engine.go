@@ -239,7 +239,7 @@ func NewEngineWith[S comparable](p Protocol[S], d Daemon[S], initial Config[S], 
 	}
 	if l := LocalOf(p); l != nil {
 		e.loc = l
-		e.influence = influenceSets(p.N(), l)
+		e.influence = InfluenceSets(p.N(), l)
 		e.ruleOf = make([]Rule, p.N())
 		e.dirtyMark = make([]bool, p.N())
 		e.seedEnabled()

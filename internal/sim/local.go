@@ -56,11 +56,11 @@ func LocalOf[S comparable](p Protocol[S]) Local {
 	return nil
 }
 
-// influenceSets inverts the read-set relation of l: out[v] lists, in
+// InfluenceSets inverts the read-set relation of l: out[v] lists, in
 // increasing order and without duplicates, the vertices whose enabledness
 // may change when v's state changes — v itself plus every u with
 // v ∈ l.Neighbors(u).
-func influenceSets(n int, l Local) [][]int {
+func InfluenceSets(n int, l Local) [][]int {
 	out := make([][]int, n)
 	for v := 0; v < n; v++ {
 		out[v] = append(out[v], v)

@@ -8,8 +8,14 @@ package sim
 // tracks when the protocol first enters its legitimacy set (Γ₁ for unison)
 // and asserts closure: once legitimate, safety must never break again —
 // any counterexample would refute Theorem 1.
+//
+// RunReport.Observe holds the scoring rule; MeasureConvergence owns a run
+// loop around it, and the scenario layer's convergence observer feeds it
+// from the engine's step hook.
 
 // RunReport is the outcome of MeasureConvergence for a single execution.
+// A report being filled by Observe starts as
+// RunReport{LastViolationStep: -1, FirstLegitStep: -1}.
 type RunReport struct {
 	// StepsExecuted and MovesExecuted cover the whole measured run.
 	StepsExecuted int
@@ -27,6 +33,8 @@ type RunReport struct {
 	// ConvergenceMoves is the number of moves executed up to and including
 	// the step that produced the last violating configuration.
 	ConvergenceMoves int
+	// Violations counts the configurations at which safe() was false.
+	Violations int
 
 	// FirstLegitStep is the first configuration index in the legitimacy
 	// set (−1 when legit is nil or never reached); FirstLegitMoves counts
@@ -40,39 +48,58 @@ type RunReport struct {
 	ClosureBroken bool
 }
 
-// MeasureConvergence runs e for at most horizon steps and scores the
-// execution against a safety predicate and an optional legitimacy
-// predicate. The horizon must be chosen large enough that the protocol is
-// guaranteed (or at least overwhelmingly expected) to have stabilized; the
-// per-protocol helpers in internal/core and friends pick horizons from the
-// paper's own upper bounds.
+// Observe scores configuration index step, reached after moves moves:
+// safe and legit are the predicates' verdicts on it. Once FirstLegitStep
+// is set, legit is ignored, so callers may skip evaluating the
+// legitimacy predicate from then on.
+func (r *RunReport) Observe(step, moves int, safe, legit bool) {
+	if legit && r.FirstLegitStep < 0 {
+		r.FirstLegitStep = step
+		r.FirstLegitMoves = moves
+	}
+	if !safe {
+		r.Violations++
+		r.LastViolationStep = step
+		r.ConvergenceSteps = step + 1
+		r.ConvergenceMoves = moves
+		if r.FirstLegitStep >= 0 {
+			r.ClosureBroken = true
+		}
+	}
+}
+
+// MeasureConvergence runs e and scores the execution against a safety
+// predicate and an optional legitimacy predicate.
+//
+// With tail < 0 the run lasts horizon steps (or until a terminal
+// configuration); the horizon must be chosen large enough that the
+// protocol is guaranteed (or at least overwhelmingly expected) to have
+// stabilized, and the per-protocol helpers in internal/core and friends
+// pick horizons from the paper's own upper bounds. With tail ≥ 0 the run
+// stops tail steps after the first legitimate configuration — past the
+// horizon if need be — and at the horizon only while legitimacy has not
+// been reached: closure makes the tail a confirmation, not a search.
 func MeasureConvergence[S comparable](
 	e *Engine[S],
-	horizon int,
+	horizon, tail int,
 	safe func(Config[S]) bool,
 	legit func(Config[S]) bool,
 ) (RunReport, error) {
 	rep := RunReport{LastViolationStep: -1, FirstLegitStep: -1}
-	legitSeen := false
-
-	inspect := func(stepIdx int) {
+	inspect := func(step int) {
 		c := e.Current()
-		if legit != nil && !legitSeen && legit(c) {
-			legitSeen = true
-			rep.FirstLegitStep = stepIdx
-			rep.FirstLegitMoves = e.Moves()
-		}
-		if !safe(c) {
-			rep.LastViolationStep = stepIdx
-			rep.ConvergenceMoves = e.Moves()
-			if legitSeen {
-				rep.ClosureBroken = true
-			}
-		}
+		rep.Observe(step, e.Moves(), safe(c), legit != nil && rep.FirstLegitStep < 0 && legit(c))
 	}
 
 	inspect(0)
-	for i := 1; i <= horizon; i++ {
+	for step := 1; ; step++ {
+		last := horizon
+		if tail >= 0 && rep.FirstLegitStep >= 0 {
+			last = rep.FirstLegitStep + tail
+		}
+		if step > last {
+			break
+		}
 		progressed, err := e.Step()
 		if err != nil {
 			return rep, err
@@ -81,11 +108,10 @@ func MeasureConvergence[S comparable](
 			rep.Terminal = true
 			break
 		}
-		inspect(i)
+		inspect(step)
 	}
 	rep.StepsExecuted = e.Steps()
 	rep.MovesExecuted = e.Moves()
-	rep.ConvergenceSteps = rep.LastViolationStep + 1
 	return rep, nil
 }
 

@@ -200,7 +200,7 @@ func TestMeasureConvergence(t *testing.T) {
 	p := &counterProtocol{n: 2, limit: 6}
 	// "Safety" holds when counter 0 is at least 3; legitimacy when ≥ 4.
 	e := MustEngine[int](p, allEnabled{}, Config[int]{0, 0}, 1)
-	rep, err := MeasureConvergence(e, 100,
+	rep, err := MeasureConvergence(e, 100, -1,
 		func(c Config[int]) bool { return c[0] >= 3 },
 		func(c Config[int]) bool { return c[0] >= 4 })
 	if err != nil {
@@ -226,7 +226,7 @@ func TestMeasureConvergenceDetectsClosureBreak(t *testing.T) {
 	// Legitimacy at ≥2 but safety fails at ≥5: a protocol violating
 	// safety after legitimacy must be reported.
 	e := MustEngine[int](p, allEnabled{}, Config[int]{0}, 1)
-	rep, err := MeasureConvergence(e, 100,
+	rep, err := MeasureConvergence(e, 100, -1,
 		func(c Config[int]) bool { return c[0] < 5 },
 		func(c Config[int]) bool { return c[0] >= 2 })
 	if err != nil {
@@ -234,6 +234,67 @@ func TestMeasureConvergenceDetectsClosureBreak(t *testing.T) {
 	}
 	if !rep.ClosureBroken {
 		t.Error("closure break not detected")
+	}
+}
+
+// TestMeasureConvergenceTail pins the tail rule: a run with tail ≥ 0
+// stops exactly tail steps after the first legitimate configuration, past
+// the horizon if need be, and at the horizon while legitimacy is unseen.
+// It also checks that every violating configuration is counted and that
+// the legitimacy predicate is not evaluated after the first entry.
+func TestMeasureConvergenceTail(t *testing.T) {
+	t.Parallel()
+	// One counter firing every step: configuration index i holds i.
+	// Violations at 1 and 3, legitimacy from 5 on.
+	safe := func(c Config[int]) bool { return c[0] != 1 && c[0] != 3 }
+	cases := []struct {
+		name              string
+		horizon, tail     int
+		steps, firstLegit int
+		terminal          bool
+	}{
+		{"tail inside horizon", 100, 4, 9, 5, false},
+		{"tail past horizon", 6, 4, 9, 5, false},
+		{"zero tail", 100, 0, 5, 5, false},
+		{"legit at horizon", 5, 2, 7, 5, false},
+		{"legit unseen at horizon", 4, 4, 4, -1, false},
+		{"no tail runs the horizon", 6, -1, 6, 5, false},
+		{"fixpoint before tail ends", 100, 50, 19, 5, true},
+	}
+	for _, tc := range cases {
+		p := &counterProtocol{n: 1, limit: 20}
+		e := MustEngine[int](p, allEnabled{}, Config[int]{0}, 1)
+		legitCalls := 0
+		rep, err := MeasureConvergence(e, tc.horizon, tc.tail, safe, func(c Config[int]) bool {
+			legitCalls++
+			return c[0] >= 5
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.StepsExecuted != tc.steps || e.Current()[0] != tc.steps {
+			t.Errorf("%s: ran %d steps (counter %d), want %d", tc.name, rep.StepsExecuted, e.Current()[0], tc.steps)
+		}
+		if rep.FirstLegitStep != tc.firstLegit {
+			t.Errorf("%s: legit at %d, want %d", tc.name, rep.FirstLegitStep, tc.firstLegit)
+		}
+		wantCalls := tc.firstLegit + 1
+		if tc.firstLegit < 0 {
+			wantCalls = tc.steps + 1
+		}
+		if legitCalls != wantCalls {
+			t.Errorf("%s: legitimacy evaluated %d times, want %d", tc.name, legitCalls, wantCalls)
+		}
+		if rep.Terminal != tc.terminal {
+			t.Errorf("%s: terminal=%v, want %v", tc.name, rep.Terminal, tc.terminal)
+		}
+		if rep.Violations != 2 || rep.LastViolationStep != 3 || rep.ConvergenceSteps != 4 || rep.ConvergenceMoves != 3 {
+			t.Errorf("%s: violations=%d last=%d conv=%d/%d moves, want 2, 3, 4, 3", tc.name,
+				rep.Violations, rep.LastViolationStep, rep.ConvergenceSteps, rep.ConvergenceMoves)
+		}
+		if rep.ClosureBroken {
+			t.Errorf("%s: closure wrongly reported broken", tc.name)
+		}
 	}
 }
 
